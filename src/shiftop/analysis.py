@@ -15,7 +15,7 @@ import numpy as np
 
 from .exprlang import Expr, as_function, find_zeros, is_periodic, parse
 from .circle import (Arc, GammaArc, PeriodicStructure, Shift, StructureError,
-                     circle_dist, orbit_limit_endpoints, wrap)
+                     circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
 
 __all__ = [
@@ -83,41 +83,16 @@ def operator_spec(a, b, shift, space: SpaceIndices,
     return OperatorSpec(a_fn, b_fn, shift, structure, space, a_expr, b_expr)
 
 
-def orbit_product(f, shift: Shift, m: int, t):
-    """f_m(t) = prod_{i=0}^{m-1} f(alpha_i(t)); accepts arrays."""
-    if m < 1:
-        raise ValueError("orbit_product requires m >= 1")
-    fn = as_function(f)
-    u = wrap(np.asarray(t, dtype=float))
-    prod = np.ones_like(u)
-    for _ in range(m):
-        prod = prod * np.asarray(fn(u))
-        u = wrap(np.asarray(shift.lift_ext(u)))
-    return float(prod) if np.ndim(t) == 0 else prod
-
-
 def _orbit_fn(f, shift: Shift, m: int) -> Callable:
     return lambda t: orbit_product(f, shift, m, t)
-
-
-def _dilation_factors(op: OperatorSpec, t):
-    """min/max of |alpha_m'(t)|^{-alpha_X}, |alpha_m'(t)|^{-beta_X}."""
-    dm = np.abs(orbit_product(op.shift.deriv, op.shift, op.m, t))
-    fa = dm ** (-op.space.alpha)
-    fb = dm ** (-op.space.beta)
-    return np.minimum(fa, fb), np.maximum(fa, fb)
 
 
 def eta_values(op: OperatorSpec, t):
     """(eta0, eta1) at t: |a_m| - |b_m| * (min resp. max dilation factor)."""
     am = np.abs(orbit_product(op.a, op.shift, op.m, t))
     bm = np.abs(orbit_product(op.b, op.shift, op.m, t))
-    lo, hi = _dilation_factors(op, t)
-    eta0 = am - bm * lo
-    eta1 = am - bm * hi
-    if np.ndim(t) == 0:
-        return float(eta0), float(eta1)
-    return eta0, eta1
+    lo, hi = op.space.dilation_pair(orbit_product(op.shift.deriv, op.shift, op.m, t))
+    return am - bm * lo, am - bm * hi
 
 
 def eta_limits(op: OperatorSpec, t) -> tuple[float, float, float, float]:
@@ -221,18 +196,17 @@ def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> flo
     am = orbit_product(op.a, op.shift, op.m, t)
     bm = orbit_product(op.b, op.shift, op.m, t)
     if region == GAMMA1:
-        return float(am - bm)
+        return am - bm
     if region == GAMMA2:
-        return float(am)
+        return am
     if region == GAMMA3:
-        return float(-bm)
+        return -bm
     return 0.0
 
 
 def _arc_zeros(fn, arc: Arc, tol: float = 1e-12, cells: int = 4096):
     """Zeros of a periodic function restricted to an arc (arc coordinates)."""
-    return find_zeros(lambda x: fn(wrap(np.asarray(x, dtype=float))),
-                      arc.start, arc.end, tol=tol, cells=cells)
+    return find_zeros(lambda x: fn(wrap(x)), arc.start, arc.end, tol=tol, cells=cells)
 
 
 def _filter_near_y(hits, ps: PeriodicStructure, skip: float = 1e-10):
@@ -242,7 +216,7 @@ def _filter_near_y(hits, ps: PeriodicStructure, skip: float = 1e-10):
             out.append(h)
             continue
         t = wrap(h.location)
-        if any(float(circle_dist(t, p)) <= skip for p in ps.y):
+        if any(circle_dist(t, p) <= skip for p in ps.y):
             continue
         out.append(h)
     return out
@@ -258,16 +232,11 @@ def _coefficient_zeros(op: OperatorSpec, coeff_fn, arcs) -> tuple[list[float], b
     for arc in arcs:
         hits = _arc_zeros(coeff_fn, arc)
         for h in hits:
-            if h.kind == "interval":
+            # flat stretches and tangential zeros make the orbit pattern ambiguous
+            if h.kind == "interval" or h.suspect:
                 suspect = True
-                continue
-            if h.suspect and not h.certain():
-                suspect = True
-                continue
-            if h.suspect:
-                suspect = True  # tangential zeros make the k0 pattern ambiguous
-                continue
-            zeros.append(wrap(h.location))
+            else:
+                zeros.append(wrap(h.location))
     zeros = [z for z in _dedup(zeros)
              if not op.structure.in_lambda(z, tol=ORBIT_MATCH_TOL)]
     return zeros, suspect
@@ -285,30 +254,32 @@ def _dedup(vals, tol: float = 1e-10) -> list[float]:
 def _orbit_hits(op: OperatorSpec, p: float, q: float, n_min: int) -> int | None:
     """Least n >= n_min with alpha_n(p) matching q within tolerance, or None.
 
-    Iteration stops once the orbit has passed q on the attractor side of
-    q's component (forward orbits are monotone within each component).
+    alpha_m maps each moving arc onto itself, so an orbit that misses q's
+    arc in its first m steps never reaches q.  Inside that arc, iteration
+    stops once the orbit has passed q on the attractor side (forward orbits
+    are monotone within each component).
     """
     ps = op.structure
     if ps.in_lambda(p, tol=ORBIT_MATCH_TOL) or ps.in_lambda(q, tol=ORBIT_MATCH_TOL):
         # fixed-point zeros are never reached by interior orbits
-        if n_min == 0 and float(circle_dist(p, q)) <= ORBIT_MATCH_TOL:
+        if n_min == 0 and circle_dist(p, q) <= ORBIT_MATCH_TOL:
             return 0
         return None
     gq = ps.gamma_containing(q)
-    if gq is None:
+    if gq is None or not any(gq.contains(op.shift.apply(p, i)) for i in range(op.m)):
         return None
     toward_end = circle_dist(gq.tau_plus, wrap(gq.end)) <= ps.point_tol
-    sq = float(gq.offset(q))
-    z = float(p)
+    sq = gq.offset(q)
+    z = p
     for n in range(ORBIT_GUARD_RL):
-        if n >= n_min and float(circle_dist(z, q)) <= ORBIT_MATCH_TOL:
+        if n >= n_min and circle_dist(z, q) <= ORBIT_MATCH_TOL:
             return n
-        sz = float(gq.offset(z))
+        sz = gq.offset(z)
         if 0.0 < sz < gq.length:
             passed = sz > sq + ORBIT_MATCH_TOL if toward_end else sz < sq - ORBIT_MATCH_TOL
             if passed:
                 return None
-        z = float(op.shift.apply(z, 1))
+        z = op.shift.apply(z, 1)
     return None
 
 
@@ -375,10 +346,10 @@ def _region_sigma_fn(op: OperatorSpec, region: str) -> Callable:
     am = _orbit_fn(op.a, op.shift, op.m)
     bm = _orbit_fn(op.b, op.shift, op.m)
     if region == GAMMA1:
-        return lambda t: np.asarray(am(t)) - np.asarray(bm(t))
+        return lambda t: am(t) - bm(t)
     if region == GAMMA2:
         return am
-    return lambda t: -np.asarray(bm(t))
+    return lambda t: -bm(t)
 
 
 def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
@@ -397,7 +368,7 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
     extrema: dict[str, dict] = {}
     for region, arc in regions:
         fn = _region_sigma_fn(op, region)
-        samples = np.asarray(fn(wrap(np.linspace(arc.start, arc.end, 257))), dtype=float)
+        samples = fn(wrap(np.linspace(arc.start, arc.end, 257)))
         ext = extrema.setdefault(region, {"min": np.inf, "max": -np.inf, "min_abs": np.inf})
         ext["min"] = min(ext["min"], float(np.min(samples)))
         ext["max"] = max(ext["max"], float(np.max(samples)))
@@ -417,7 +388,7 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
     for p, c in partition.points:
         if c.region in (GAMMA2, GAMMA3):
             fn = _region_sigma_fn(op, c.region)
-            val = float(np.asarray(fn(p)))
+            val = fn(p)
             ext = extrema.setdefault(c.region, {"min": np.inf, "max": -np.inf, "min_abs": np.inf})
             ext["min"] = min(ext["min"], val)
             ext["max"] = max(ext["max"], val)
@@ -548,9 +519,7 @@ def adjoint_spec(op: OperatorSpec) -> OperatorSpec:
     b_fn = op.b
 
     def b_star(t):
-        u = inv.apply(np.asarray(t, dtype=float), 1)
-        out = np.asarray(b_fn(u)) * np.abs(np.asarray(inv.deriv(t)))
-        return float(out) if np.ndim(t) == 0 else out
+        return b_fn(inv.apply(t, 1)) * np.abs(inv.deriv(t))
 
     # attraction reverses under the inverse shift
     gamma = tuple(GammaArc(g.start, g.end, g.tau_plus, g.tau_minus)
@@ -576,9 +545,7 @@ def reduce_to_fixed(op: OperatorSpec) -> tuple[OperatorSpec, bool]:
     b_fn = op.b
 
     def b_m_shifted(t):
-        u = op.shift.apply(np.asarray(t, dtype=float), m - 1)
-        out = np.asarray(orbit_product(b_fn, op.shift, m, u))
-        return float(out) if np.ndim(t) == 0 else out
+        return orbit_product(b_fn, op.shift, m, op.shift.apply(t, m - 1))
 
     structure_m = replace(op.structure, m=1, orientation=1)
     op_m = OperatorSpec(a_m, b_m_shifted, shift_m, structure_m, op.space)
@@ -588,12 +555,11 @@ def reduce_to_fixed(op: OperatorSpec) -> tuple[OperatorSpec, bool]:
     cond = True
     for i in range(1, m):
         def joint(t, i=i):
-            ai = np.abs(np.asarray(orbit_product(op.a, op.shift, i, t)))
-            u = op.shift.apply(np.asarray(t, dtype=float), i - 1)
-            return ai + np.abs(np.asarray(b_fn(u)))
+            ai = np.abs(orbit_product(op.a, op.shift, i, t))
+            return ai + np.abs(b_fn(op.shift.apply(t, i - 1)))
         for arc in arcs4:
             samples = wrap(np.linspace(arc.start, arc.end, 2049))
-            vals = np.asarray(joint(samples), dtype=float)
+            vals = joint(samples)
             if float(np.min(vals)) <= SIGN_BAND:
                 cond = False
         if not cond:

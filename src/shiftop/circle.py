@@ -21,7 +21,7 @@ __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
     "StructureError", "NoPeriodicStructureError",
     "detect_orientation_and_multiplicity", "compute_periodic_structure",
-    "decompose_components", "orbit_limit_endpoints",
+    "orbit_product", "orbit_limit_endpoints",
 ]
 
 ORBIT_GUARD = 10 ** 6
@@ -70,10 +70,10 @@ class Arc:
 
     def offset(self, t) -> float:
         """Positive offset of t from start, in [0, 1)."""
-        return wrap(np.asarray(t, dtype=float) - self.start)
+        return wrap(t - self.start)
 
     def contains(self, t, tol: float = 0.0) -> bool:
-        off = float(self.offset(t))
+        off = self.offset(t)
         return tol < off < self.length - tol or (tol == 0.0 and off == 0.0 and self.length == 1.0)
 
     def midpoint(self) -> float:
@@ -92,7 +92,8 @@ class Shift:
     """Circle diffeomorphism given by a monotone lift.
 
     lift_ext is the lift on all of R (L(x+1) = L(x) + orientation);
-    deriv is alpha'(t) as a function on the circle.  Both accept arrays.
+    deriv is alpha'(t) as a function on the circle.  Both follow the
+    float-or-array convention of ``exprlang.as_function``.
     """
 
     def __init__(self, lift_ext: Callable, deriv: Callable, orientation: int,
@@ -107,7 +108,7 @@ class Shift:
         self._inv: Shift | None = None
         # bracket half-width for inverse solves: max |L(x) - sigma*x| + 1
         g = np.linspace(0.0, 1.0, 257)
-        self._bracket = float(np.max(np.abs(np.asarray(lift_ext(g)) - orientation * g))) + 1.0
+        self._bracket = float(np.max(np.abs(lift_ext(g) - orientation * g))) + 1.0
 
     @classmethod
     def from_lift(cls, lift, orientation: str = "auto", grid: int = 4096) -> "Shift":
@@ -118,7 +119,7 @@ class Shift:
         df = as_function(deriv_expr)
 
         xs = np.linspace(0.0, 1.0, grid + 1)
-        ls = np.asarray(lf(xs), dtype=float)
+        ls = lf(xs)
         if not np.all(np.isfinite(ls)):
             raise StructureError("lift evaluates to non-finite values on [0,1]")
         jump = ls[-1] - ls[0]
@@ -133,68 +134,50 @@ class Shift:
         if np.min(diffs) <= 0.0:
             k = int(np.argmin(diffs))
             raise StructureError(f"lift is not strictly monotone near t={xs[k]:.6f}")
-        ds = np.asarray(df(xs), dtype=float)
+        ds = df(xs)
         if not np.all(np.isfinite(ds)) or np.min(np.abs(ds)) <= 0.0:
             raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
 
         def lift_ext(x):
-            x = np.asarray(x, dtype=float)
             n = np.floor(x)
-            out = np.asarray(lf(x - n)) + sigma * n
-            return float(out) if out.ndim == 0 else out
+            return lf(x - n) + sigma * n
 
-        def deriv(t):
-            out = np.asarray(df(wrap(np.asarray(t, dtype=float))))
-            return float(out) if out.ndim == 0 else out
-
-        return cls(lift_ext, deriv, sigma, lift_expr, deriv_expr)
+        return cls(lift_ext, lambda t: df(wrap(t)), sigma, lift_expr, deriv_expr)
 
     def __call__(self, t):
         return wrap(self.lift_ext(t))
 
-    def derivative(self, t):
-        """alpha'(t), signed."""
-        return self.deriv(t)
-
     def _solve_inverse(self, y):
         """Solve L(x) = y for the extended lift (vector bisection + Newton)."""
-        y = np.asarray(y, dtype=float)
         s = float(self.orientation)
         a = s * y - self._bracket
         b = s * y + self._bracket
         for _ in range(60):
             m = 0.5 * (a + b)
-            gm = s * np.asarray(self.lift_ext(m)) - s * y
-            neg = gm < 0
+            neg = s * self.lift_ext(m) - s * y < 0
             a = np.where(neg, m, a)
             b = np.where(neg, b, m)
         x = 0.5 * (a + b)
         for _ in range(3):
-            g = np.asarray(self.lift_ext(x)) - y
-            dg = np.asarray(self.deriv(x))
+            g = self.lift_ext(x) - y
+            dg = self.deriv(x)
             step = g / np.where(np.abs(dg) > 1e-300, dg, 1.0)
             x = x - np.clip(step, -0.5, 0.5)
-        resid = np.max(np.abs(np.asarray(self.lift_ext(x)) - y))
+        resid = np.max(np.abs(self.lift_ext(x) - y))
         if not resid <= 1e-10:
             raise StructureError("inverse lift solve failed to converge; lift not monotone?")
-        return float(x) if np.ndim(y) == 0 else x
+        return x
 
     def inverse(self) -> "Shift":
         """The shift alpha_{-1}, with derivative 1/alpha'(alpha_{-1})."""
         if self._inv is not None:
             return self._inv
-        outer = self
-
-        def lift_ext(x):
-            return outer._solve_inverse(x)
 
         def deriv(t):
-            u = wrap(outer._solve_inverse(wrap(np.asarray(t, dtype=float))))
-            out = 1.0 / np.asarray(outer.deriv(u))
-            return float(out) if out.ndim == 0 else out
+            return 1.0 / self.deriv(wrap(self._solve_inverse(wrap(t))))
 
-        inv = Shift(lift_ext, deriv, outer.orientation)
-        inv._inv = outer
+        inv = Shift(self._solve_inverse, deriv, self.orientation)
+        inv._inv = self
         self._inv = inv
         return inv
 
@@ -204,38 +187,37 @@ class Shift:
             raise ValueError("power requires m >= 1")
         if m == 1:
             return self
-        outer = self
 
         def lift_ext(x):
-            y = np.asarray(x, dtype=float)
             for _ in range(m):
-                y = np.asarray(outer.lift_ext(y))
-            return float(y) if y.ndim == 0 else y
+                x = self.lift_ext(x)
+            return x
 
-        def deriv(t):
-            u = wrap(np.asarray(t, dtype=float))
-            prod = np.ones_like(u)
-            for _ in range(m):
-                prod = prod * np.asarray(outer.deriv(u))
-                u = wrap(np.asarray(outer.lift_ext(u)))
-            return float(prod) if prod.ndim == 0 else prod
-
-        return Shift(lift_ext, deriv, outer.orientation ** m)
+        return Shift(lift_ext, lambda t: orbit_product(self.deriv, self, m, t),
+                     self.orientation ** m)
 
     def apply(self, t, k: int = 1):
         """alpha_k(t); negative k through the inverse lift."""
         if abs(k) > ORBIT_GUARD:
             raise ValueError(f"orbit index guard exceeded (|k| <= {ORBIT_GUARD})")
-        x = np.asarray(t, dtype=float)
-        out = wrap(x)
-        if k >= 0:
-            for _ in range(k):
-                out = wrap(self.lift_ext(out))
-        else:
-            inv = self.inverse()
-            for _ in range(-k):
-                out = wrap(inv.lift_ext(out))
-        return float(out) if np.ndim(t) == 0 else out
+        lift = self.lift_ext if k >= 0 else self.inverse().lift_ext
+        t = wrap(t)
+        for _ in range(abs(k)):
+            t = wrap(lift(t))
+        return t
+
+
+def orbit_product(f, shift: Shift, m: int, t):
+    """f_m(t) = prod_{i=0}^{m-1} f(alpha_i(t))."""
+    if m < 1:
+        raise ValueError("orbit_product requires m >= 1")
+    fn = as_function(f)
+    u = wrap(t)
+    prod = fn(u)
+    for _ in range(m - 1):
+        u = wrap(shift.lift_ext(u))
+        prod = prod * fn(u)
+    return prod
 
 
 @dataclass(frozen=True)
@@ -272,7 +254,7 @@ class PeriodicStructure:
             if circle_dist(t, p) <= tol:
                 return True
         for a in self.lambda_arcs:
-            off = float(a.offset(t))
+            off = a.offset(t)
             if off <= a.length + tol or off >= 1.0 - tol:
                 return True
         return False
@@ -300,9 +282,9 @@ def _touches_integer(vals: np.ndarray, tol: float) -> list[int]:
 
 
 def _iterated_lift_minus_id(shift: Shift, j: int, xs: np.ndarray) -> np.ndarray:
-    y = xs.copy()
+    y = xs
     for _ in range(j):
-        y = np.asarray(shift.lift_ext(y))
+        y = shift.lift_ext(y)
     return y - xs
 
 
@@ -353,13 +335,15 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
     xs = np.linspace(0.0, 1.0, grid + 1)
     u = _iterated_lift_minus_id(lift_m, 1, xs)
     candidates = _touches_integer(u, tol=1e-7)
+
+    def v(x, n):
+        """lift_m(x) - x - n, zero at the fixed points on lift branch n."""
+        return lift_m.lift_ext(x) - x - n
+
     found: list[tuple[int, list[ZeroHit]]] = []
     for n in candidates:
-        def v(x, n=n):
-            y = np.asarray(lift_m.lift_ext(np.asarray(x, dtype=float)))
-            out = y - np.asarray(x, dtype=float) - n
-            return float(out) if np.ndim(x) == 0 else out
-        hits = find_zeros(v, 0.0, 1.0, tol=tol, cells=grid, flat_tol=flat_tol)
+        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0, tol=tol, cells=grid,
+                          flat_tol=flat_tol)
         if hits:
             found.append((n, hits))
     if not found:
@@ -368,12 +352,6 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
         raise StructureError(
             f"fixed points found at several lift branches n={[n for n, _ in found]}")
     n, hits = found[0]
-
-    def v(x):
-        y = np.asarray(lift_m.lift_ext(np.asarray(x, dtype=float)))
-        out = y - np.asarray(x, dtype=float) - n
-        return float(out) if np.ndim(x) == 0 else out
-
     uncertain = any(h.suspect for h in hits)
 
     points = [h.location for h in hits if h.kind != "interval"]
@@ -426,8 +404,7 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
         if length <= touch:
             continue
         arc = Arc(wrap(b), wrap(b) + length)
-        vm = float(v(arc.midpoint()))
-        if vm > 0:
+        if v(arc.midpoint(), n) > 0:
             tau_minus, tau_plus = wrap(arc.start), wrap(arc.end)
         else:
             tau_minus, tau_plus = wrap(arc.end), wrap(arc.start)
@@ -437,11 +414,6 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
                              tuple(lambda_points), tuple(lambda_arcs),
                              tuple(sorted(set(y))), tuple(omega), tuple(gamma),
                              uncertain=uncertain)
-
-
-def decompose_components(ps: PeriodicStructure) -> tuple[tuple[Arc, ...], tuple[GammaArc, ...]]:
-    """The (omega, gamma) families of the finite decomposition."""
-    return ps.omega, ps.gamma
 
 
 def orbit_limit_endpoints(ps: PeriodicStructure, t: float) -> tuple[float, float]:

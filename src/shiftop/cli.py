@@ -13,10 +13,9 @@ from pathlib import Path
 
 from . import exprlang
 from .circle import Shift, StructureError, compute_periodic_structure
-from .indices import space_indices
+from .indices import lebesgue, space_indices
 from .analysis import OperatorSpec, decide, operator_spec
-from .spectrum import (radius_bound, radius_lebesgue, shift_spectrum,
-                       spectrum_to_csv)
+from .spectrum import radius_bound, shift_spectrum, spectrum_to_csv
 from .oracle import invertibility_evidence
 
 EXIT_OK = 0
@@ -157,8 +156,11 @@ def cmd_spectrum(args) -> int:
         weight = exprlang.parse(args.weight)
     except exprlang.ExprError as exc:
         raise ConfigError(f"--weight: {exc}") from exc
-    ss = shift_spectrum(weight, op.shift, op.structure, op.space,
-                        samples=args.samples)
+    try:
+        ss = shift_spectrum(weight, op.shift, op.structure, op.space,
+                            samples=args.samples)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _emit(spectrum_to_csv(ss), args.output)
     return EXIT_OK
 
@@ -169,12 +171,19 @@ def cmd_radius(args) -> int:
         weight = exprlang.parse(args.weight)
     except exprlang.ExprError as exc:
         raise ConfigError(f"--weight: {exc}") from exc
-    payload = {
-        "p": args.p,
-        "radius_lebesgue": radius_lebesgue(weight, op.shift, op.structure, args.p),
-        "radius_bound": radius_bound(weight, op.shift, op.structure, op.space),
-        "indices": {"alpha": op.space.alpha, "beta": op.space.beta},
-    }
+    try:
+        lp = lebesgue(args.p)
+    except ValueError as exc:
+        raise ConfigError(f"--p: {exc}") from exc
+    try:
+        payload = {
+            "p": args.p,
+            "radius_lebesgue": radius_bound(weight, op.shift, op.structure, lp),
+            "radius_bound": radius_bound(weight, op.shift, op.structure, op.space),
+            "indices": {"alpha": op.space.alpha, "beta": op.space.beta},
+        }
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _emit(dump_json(payload), args.output)
     return EXIT_OK
 
@@ -188,12 +197,13 @@ def cmd_verify(args) -> int:
     seed = _require(cfg, "oracle.seed", int, default=DEFAULT_ORACLE["seed"])
     evidence = invertibility_evidence(op, N_ladder=tuple(grids), p=p, seed=seed,
                                       verdict=report.verdict)
+    # the ladder tests only two-sided and nowhere-invertible behaviour
     if report.verdict == "two_sided":
-        agreement = evidence.consistent_two_sided
+        agreement = "agree" if evidence.consistent_two_sided else "disagree"
     elif report.verdict == "neither":
-        agreement = evidence.consistent_neither
+        agreement = "agree" if evidence.consistent_neither else "disagree"
     else:
-        agreement = True  # one-sided/undecidable: the record is informative only
+        agreement = "not_tested"
     payload = {
         "verdict": report.verdict,
         "agreement": agreement,
@@ -245,3 +255,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,12 @@ symbolic differentiation stays inside the grammar.
 
 Precedence is ``^`` > prefix minus > ``* /`` > ``+ -`` with left
 associativity; the canonical serialization is fully parenthesized infix.
+
+``as_function`` compiles an expression once into numpy ufunc calls.  Every
+function of t in the package follows its convention: a float in gives a
+float out, and an ndarray in gives an ndarray of the same shape out.
+``evaluate`` is the exact scalar reference that names the node and the t
+of a domain error.
 """
 
 from __future__ import annotations
@@ -294,50 +300,45 @@ def evaluate(e: Expr, t: float) -> float:
     raise ExprError(f"malformed node {e!r}")
 
 
-def _eval_array(e: Expr, t: np.ndarray) -> np.ndarray:
-    if isinstance(e, Num):
-        return np.full_like(t, e.value, dtype=float)
-    if isinstance(e, Pi):
-        return np.full_like(t, math.pi, dtype=float)
+_UNARY = {"neg": np.negative, "abs": np.abs, "sin": np.sin, "cos": np.cos,
+          "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
+
+
+def _compile(e: Expr) -> Callable:
+    """Closure tree over the numpy ufuncs; constants stay plain floats."""
     if isinstance(e, Var):
-        return np.asarray(t, dtype=float)
+        return lambda t: t
     if isinstance(e, Unary):
-        x = _eval_array(e.arg, t)
-        if e.op == "neg":
-            return -x
-        if e.op == "abs":
-            return np.abs(x)
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}[e.op]
-        return fn(x)
-    a = _eval_array(e.left, t)
-    b = _eval_array(e.right, t)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "/":
-        return a / b
-    return np.power(a, b)
+        f, x = _UNARY[e.op], _compile(e.arg)
+        return lambda t: f(x(t))
+    if isinstance(e, Binary):
+        f, x, y = _BINARY[e.op], _compile(e.left), _compile(e.right)
+        return lambda t: f(x(t), y(t))
+    c = math.pi if isinstance(e, Pi) else e.value
+    return lambda t: c
 
 
 def as_function(e) -> Callable:
-    """Turn an Expr (or pass through a callable) into an array-capable function.
+    """Compile an Expr once into a function of t (a callable passes through).
 
-    Domain violations surface as non-finite entries; scanning code checks
-    for those and re-evaluates pointwise for a precise error.
+    A float in gives a float out; an ndarray in gives an ndarray of the
+    same shape out, also for t-free expressions.  Domain violations surface
+    as non-finite values; scanning code checks for those and re-evaluates
+    pointwise with ``evaluate`` for a precise error.
     """
     if callable(e):
         return e
+    body = _compile(e)
+    if not contains_var(e):
+        with np.errstate(all="ignore"):
+            c = body(0.0)
+        body = lambda t: np.full_like(t, c, dtype=float) if isinstance(t, np.ndarray) else c
 
     def fn(t):
-        arr = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            out = _eval_array(e, arr)
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+            return body(t)
 
     return fn
 
@@ -463,7 +464,7 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float, tol: float) -> float:
         if b - a <= tol:
             break
         m = 0.5 * (a + b)
-        fm = float(fn(m))
+        fm = fn(m)
         if fm == 0.0:
             return m
         if (fa < 0) != (fm < 0):
@@ -478,18 +479,18 @@ def _refine_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
-    f1, f2 = abs(float(fn(x1))), abs(float(fn(x2)))
+    f1, f2 = abs(fn(x1)), abs(fn(x2))
     while b - a > tol:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - gr * (b - a)
-            f1 = abs(float(fn(x1)))
+            f1 = abs(fn(x1))
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + gr * (b - a)
-            f2 = abs(float(fn(x2)))
+            f2 = abs(fn(x2))
     x = x1 if f1 < f2 else x2
-    return x, abs(float(fn(x)))
+    return x, abs(fn(x))
 
 
 def find_zeros(e, lo: float, hi: float, tol: float = 1e-12,
@@ -506,7 +507,7 @@ def find_zeros(e, lo: float, hi: float, tol: float = 1e-12,
         raise ValueError("find_zeros requires lo < hi")
     fn = as_function(e)
     xs = np.linspace(lo, hi, cells + 1)
-    fx = np.asarray(fn(xs), dtype=float)
+    fx = fn(xs)
     if not np.all(np.isfinite(fx)):
         bad = xs[~np.isfinite(fx)][0]
         if not callable(e):
@@ -532,11 +533,11 @@ def find_zeros(e, lo: float, hi: float, tol: float = 1e-12,
             if j - i >= 2:
                 a = xs[i]
                 if i > 0:
-                    g = lambda x: abs(float(fn(x))) - flat_tol
+                    g = lambda x: abs(fn(x)) - flat_tol
                     a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), tol)
                 b = xs[j]
                 if j < cells:
-                    g = lambda x: abs(float(fn(x))) - flat_tol
+                    g = lambda x: abs(fn(x)) - flat_tol
                     b = _bisect(g, xs[j], xs[j + 1], -flat_tol, g(xs[j + 1]), tol)
                 hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
                 in_flat[i:j + 1] = True
@@ -559,7 +560,7 @@ def find_zeros(e, lo: float, hi: float, tol: float = 1e-12,
             continue
         if sgn[i] != 0 and sgn[i + 1] != 0 and sgn[i] != sgn[i + 1]:
             x = _bisect(fn, xs[i], xs[i + 1], fx[i], fx[i + 1], tol)
-            hits.append(ZeroHit(x, "crossing", float(fn(x))))
+            hits.append(ZeroHit(x, "crossing", fn(x)))
 
     # tangential candidates: small interior local minima of |f| without sign change
     absf = np.abs(fx)

@@ -31,6 +31,13 @@ class SpaceIndices:
             raise ValueError(
                 f"indices must satisfy 0 < alpha <= beta < 1, got ({self.alpha}, {self.beta})")
 
+    def dilation_pair(self, deriv):
+        """(min, max) of |deriv|^{-alpha} and |deriv|^{-beta}: the dilation
+        factors of X under a shift with derivative deriv (float or array)."""
+        ap = np.abs(deriv)
+        fa, fb = ap ** -self.alpha, ap ** -self.beta
+        return np.minimum(fa, fb), np.maximum(fa, fb)
+
 
 def space_indices(alpha: float, beta: float, fundamental_type: bool = True) -> SpaceIndices:
     x = SpaceIndices(alpha, beta, fundamental_type)
@@ -83,13 +90,13 @@ def submultiplicative_indices(f, x_min: float = 1e-6, x_max: float = 1e6,
     xs_lo = grid(x_min, 0.99)
     xs_hi = grid(1.01, x_max)
     for xs in (xs_lo, xs_hi):
-        vals = np.asarray(fn(xs), dtype=float)
+        vals = fn(xs)
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             bad = xs[(vals <= 0.0) | ~np.isfinite(vals)][0]
             raise ValueError(f"function must be positive on the sample range; f({bad!r}) <= 0")
 
-    ratios_lo = np.log(np.asarray(fn(xs_lo), dtype=float)) / np.log(xs_lo)
-    ratios_hi = np.log(np.asarray(fn(xs_hi), dtype=float)) / np.log(xs_hi)
+    ratios_lo = np.log(fn(xs_lo)) / np.log(xs_lo)
+    ratios_hi = np.log(fn(xs_hi)) / np.log(xs_hi)
     i_lo = int(np.argmax(ratios_lo))
     i_hi = int(np.argmin(ratios_hi))
     lower = float(ratios_lo[i_lo])
@@ -97,8 +104,8 @@ def submultiplicative_indices(f, x_min: float = 1e-6, x_max: float = 1e6,
 
     rng = np.random.default_rng(seed)
     xs = np.exp(rng.uniform(np.log(x_min), np.log(x_max), size=(64, 2)))
-    lhs = np.asarray(fn(xs[:, 0] * xs[:, 1]), dtype=float)
-    rhs = np.asarray(fn(xs[:, 0]), dtype=float) * np.asarray(fn(xs[:, 1]), dtype=float)
+    lhs = fn(xs[:, 0] * xs[:, 1])
+    rhs = fn(xs[:, 0]) * fn(xs[:, 1])
     if np.any(lhs > rhs * (1.0 + 1e-9)):
         warnings.warn("sampled function violates submultiplicativity", stacklevel=2)
 

@@ -96,11 +96,10 @@ def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
     """Collocation of A = a*I - b*W on the N-point grid."""
     _validate_grid(N, p)
     nodes = np.arange(N) / N
-    a_vals = np.asarray(as_function(op.a)(nodes), dtype=float)
-    b_vals = np.asarray(as_function(op.b)(nodes), dtype=float)
-    alpha_vals = wrap(np.asarray(op.shift.lift_ext(nodes), dtype=float))
-    idx, wts = _lagrange_stencil(alpha_vals, N)
-    deriv = np.abs(np.asarray(op.shift.deriv(nodes), dtype=float))
+    a_vals = as_function(op.a)(nodes)
+    b_vals = as_function(op.b)(nodes)
+    idx, wts = _lagrange_stencil(wrap(op.shift.lift_ext(nodes)), N)
+    deriv = np.abs(op.shift.deriv(nodes))
     return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts, deriv)
 
 
@@ -108,10 +107,9 @@ def weighted_shift_grid(g, shift: Shift, N: int, p: float) -> GridOperator:
     """Grid operator for g*W (the a = 0, b = -g variant of A)."""
     _validate_grid(N, p)
     nodes = np.arange(N) / N
-    g_vals = np.asarray(as_function(g)(nodes), dtype=float)
-    alpha_vals = wrap(np.asarray(shift.lift_ext(nodes), dtype=float))
-    idx, wts = _lagrange_stencil(alpha_vals, N)
-    deriv = np.abs(np.asarray(shift.deriv(nodes), dtype=float))
+    g_vals = as_function(g)(nodes)
+    idx, wts = _lagrange_stencil(wrap(shift.lift_ext(nodes)), N)
+    deriv = np.abs(shift.deriv(nodes))
     return GridOperator(N, p, nodes, np.zeros(N), -g_vals, idx, wts, deriv)
 
 
@@ -347,7 +345,7 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = 2.0,
 
     grid = discretize(op, N, p)
     a_vals, b_vals = grid.a_vals, grid.b_vals
-    f_vals = np.asarray(as_function(f)(grid.nodes), dtype=float)
+    f_vals = as_function(f)(grid.nodes)
     a_fn, b_fn = as_function(op.a), as_function(op.b)
 
     if branch == "dominant-a":
@@ -366,12 +364,11 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = 2.0,
             term = apply_C(term)
         Sf = acc
         iter_shift = op.shift
-        iter_weight = lambda t: np.asarray(b_fn(t)) / np.asarray(a_fn(t))
+        iter_weight = lambda t: b_fn(t) / a_fn(t)
         iter_deriv = grid.alpha_deriv
     else:
         inv_shift = op.shift.inverse()
-        inv_nodes = wrap(np.asarray(inv_shift.lift_ext(grid.nodes), dtype=float))
-        idx_i, wts_i = _lagrange_stencil(inv_nodes, N)
+        idx_i, wts_i = _lagrange_stencil(wrap(inv_shift.lift_ext(grid.nodes)), N)
 
         def apply_Pinv(v):
             return np.einsum("ik,ik->i", wts_i, v[idx_i])
@@ -396,8 +393,8 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = 2.0,
             term = apply_C(term)
         Sf = -apply_Pinv(acc)
         iter_shift = inv_shift
-        iter_weight = lambda t: np.asarray(a_fn(t)) / np.asarray(b_fn(t))
-        iter_deriv = np.abs(np.asarray(inv_shift.deriv(grid.nodes), dtype=float))
+        iter_weight = lambda t: a_fn(t) / b_fn(t)
+        iter_deriv = np.abs(inv_shift.deriv(grid.nodes))
 
     residual = grid.norm(grid.apply(Sf) - f_vals) / grid.norm(f_vals)
     # the sharp closed-form bound is stated for shifts with fixed points

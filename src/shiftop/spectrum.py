@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import as_function, find_zeros
-from .circle import GammaArc, PeriodicStructure, Shift, wrap
+from .circle import GammaArc, PeriodicStructure, Shift, orbit_product, wrap
 from .indices import SpaceIndices
-from .analysis import orbit_product
 
-__all__ = ["Annulus", "SpectrumSet", "radius_lebesgue", "radius_bound",
+__all__ = ["Annulus", "SpectrumSet", "radius_bound",
            "shift_spectrum", "one_sided_core_annuli", "spectrum_contains",
            "spectrum_to_csv"]
 
@@ -60,7 +59,7 @@ class SpectrumSet:
         for arc_vals in self.curve_values:
             if len(arc_vals) < 2:
                 continue
-            diffs = np.abs(np.diff(np.asarray(arc_vals)))
+            diffs = np.abs(np.diff(arc_vals))
             res = max(res, float(np.max(diffs)))
         return res
 
@@ -75,38 +74,24 @@ def _lambda_samples(structure: PeriodicStructure) -> np.ndarray:
     return np.asarray(sorted(set(pts)))
 
 
-def radius_lebesgue(g, shift: Shift, structure: PeriodicStructure, p: float) -> float:
-    """Spectral radius of g*W on L^p: max over the fixed-point set of
-    |g(tau)| |alpha'(tau)|^{-1/p}."""
-    if not 1.0 < p < float("inf"):
-        raise ValueError("radius_lebesgue requires 1 < p < inf")
-    if structure.m != 1:
-        raise ValueError("radius_lebesgue applies to shifts with fixed points (m=1); "
-                         "use shift_spectrum for higher multiplicity")
-    gf = as_function(g)
-    taus = _lambda_samples(structure)
-    vals = np.abs(np.asarray(gf(taus))) * np.abs(np.asarray(shift.deriv(taus))) ** (-1.0 / p)
-    return float(np.max(vals))
-
-
 def radius_bound(g, shift: Shift, structure: PeriodicStructure,
                  x: SpaceIndices) -> float:
     """Sharp upper bound for the spectral radius of g*W on X: max over the
-    fixed-point set of |g| * max{|alpha'|^{-alpha_X}, |alpha'|^{-beta_X}}."""
+    fixed-point set of |g| * max{|alpha'|^{-alpha_X}, |alpha'|^{-beta_X}}.
+
+    On L^p (x = lebesgue(p)) this is the spectral radius itself.
+    """
     if structure.m != 1:
-        raise ValueError("radius_bound applies to shifts with fixed points (m=1)")
-    gf = as_function(g)
+        raise ValueError("radius_bound applies to shifts with fixed points (m=1); "
+                         "use shift_spectrum for higher multiplicity")
     taus = _lambda_samples(structure)
-    ap = np.abs(np.asarray(shift.deriv(taus)))
-    factor = np.maximum(ap ** (-x.alpha), ap ** (-x.beta))
-    return float(np.max(np.abs(np.asarray(gf(taus))) * factor))
+    _, factor = x.dilation_pair(shift.deriv(taus))
+    return float(np.max(np.abs(as_function(g)(taus)) * factor))
 
 
 def _delta_Delta(d, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
-    dm = abs(float(orbit_product(d, shift, m, t)))
-    ap = abs(float(orbit_product(shift.deriv, shift, m, t)))
-    lo = min(ap ** (-x.alpha), ap ** (-x.beta))
-    hi = max(ap ** (-x.alpha), ap ** (-x.beta))
+    dm = np.abs(orbit_product(d, shift, m, t))
+    lo, hi = x.dilation_pair(orbit_product(shift.deriv, shift, m, t))
     return dm * lo, dm * hi
 
 
@@ -137,7 +122,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     curve_values: list[tuple[complex, ...]] = []
     for arc in structure.omega:
         ts = wrap(np.linspace(arc.start, arc.end, samples + 1))
-        dm = np.asarray(orbit_product(d_fn, shift, m, ts), dtype=float)
+        dm = orbit_product(d_fn, shift, m, ts)
         vals = tuple(complex(v) for v in dm)
         curve_values.append(vals)
         for v in vals:
@@ -154,10 +139,10 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
         Delta_max = max(v[1] for v in dd)
 
         def dm_arc(t):
-            return orbit_product(d_fn, shift, m, wrap(np.asarray(t, dtype=float)))
+            return orbit_product(d_fn, shift, m, wrap(t))
 
         ts = wrap(np.linspace(g.start, g.end, samples + 1))
-        min_abs = float(np.min(np.abs(np.asarray(dm_arc(ts), dtype=float))))
+        min_abs = float(np.min(np.abs(dm_arc(ts))))
         invertible = min_abs > GC_THRESHOLD
         if invertible:
             hits = find_zeros(dm_arc, g.start, g.end, cells=samples)
@@ -181,13 +166,8 @@ def one_sided_core_annuli(shift: Shift, arc: GammaArc,
     """Intersection of the left and right spectra of W on X(arc): one
     annulus per endpoint fixed point, degenerating to circles when the
     indices coincide."""
-    out = []
-    for tau in (arc.tau_minus, arc.tau_plus):
-        ap = abs(float(shift.deriv(tau)))
-        lo = min(ap ** (-x.alpha), ap ** (-x.beta))
-        hi = max(ap ** (-x.alpha), ap ** (-x.beta))
-        out.append(Annulus(lo, hi))
-    return tuple(out)
+    return tuple(Annulus(*x.dilation_pair(shift.deriv(tau)))
+                 for tau in (arc.tau_minus, arc.tau_plus))
 
 
 def spectrum_contains(ss: SpectrumSet, z: complex, tol: float | None = None) -> str:

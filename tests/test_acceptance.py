@@ -31,7 +31,7 @@ def test_criterion_1_radius_closed_form_vs_oracle(suite):
     """Theorem radius 1.6403 vs power iteration at N=1024, 200 steps, 5%."""
     s1 = so.Shift.from_lift("t+0.1*sin(2*pi*t)")
     ps = so.compute_periodic_structure(s1)
-    target = so.radius_lebesgue(so.parse("1"), s1, ps, 2.0)
+    target = so.radius_bound(so.parse("1"), s1, ps, so.lebesgue(2.0))
     assert target == pytest.approx(1.6403, abs=1e-4)
 
     t0 = time.time()

@@ -215,6 +215,24 @@ class TestRL:
             z = s1.apply(z, 1)
         assert float(so.circle_dist(z, witness["q"])) <= 1e-9
 
+    def test_zero_pair_in_different_arcs_stops_early(self, s1, s1_structure, idx,
+                                                      monkeypatch):
+        # zeros of a and b on both moving arcs of S1: the orbit of a zero in
+        # one arc never enters the other, which once walked 10^6 steps
+        calls = 0
+        apply = so.Shift.apply
+
+        def counted(shift, t, k=1):
+            nonlocal calls
+            calls += 1
+            return apply(shift, t, k)
+
+        monkeypatch.setattr(so.Shift, "apply", counted)
+        op = so.operator_spec("0.857+0.867*sin(4*pi*t)", "0.63+0.892*cos(2*pi*t)",
+                              s1, idx, structure=s1_structure)
+        assert so.decide(op).verdict == "left_only"
+        assert calls < 10_000
+
 
 class TestDecide:
     def test_fixture_verdicts(self, fixture_suite):

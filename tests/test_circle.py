@@ -111,7 +111,7 @@ class TestStructure:
         arc = ps.lambda_arcs[0]
         assert arc.start == pytest.approx(0.0, abs=1e-6)
         assert arc.end == pytest.approx(0.2505, abs=1e-3)
-        omega, gamma = so.decompose_components(ps)
+        omega, gamma = ps.omega, ps.gamma
         assert len(omega) == 1 and len(gamma) == 1
         g = gamma[0]
         assert g.start == pytest.approx(0.2505, abs=1e-3)
@@ -168,3 +168,29 @@ class TestArc:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Arc(0.5, 0.4)
+
+
+class TestFloatOrArray:
+    """Shift maps and orbit products: float in, float out; arrays keep shape."""
+
+    @pytest.mark.parametrize("lift", ["t+0.1*sin(2*pi*t)", "1-t",
+                                      "t+0.05*sin(2*pi*t)^2"])
+    def test_float_matches_array(self, lift):
+        shift = so.Shift.from_lift(lift)
+        a = so.parse("2-1.9*sin(pi*t)")
+        fns = {
+            "lift_ext": shift.lift_ext,
+            "deriv": shift.deriv,
+            "orbit_product": lambda t: so.orbit_product(a, shift, 3, t),
+            "orbit_product_deriv": lambda t: so.orbit_product(shift.deriv, shift, 2, t),
+        }
+        for k in (1, -1, 3, -3):
+            fns[f"apply({k})"] = lambda t, k=k: shift.apply(t, k)
+        xs = np.linspace(-0.5, 1.5, 21)
+        for name, fn in fns.items():
+            vals = fn(xs)
+            assert isinstance(vals, np.ndarray) and vals.shape == xs.shape, name
+            for x, v in zip(xs, vals):
+                got = fn(float(x))
+                assert isinstance(got, float), name
+                assert float(got).hex() == float(v).hex(), (name, x)

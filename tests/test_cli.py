@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,25 @@ class TestRadius:
         assert out["radius_lebesgue"] == pytest.approx(1.6403, abs=1e-4)
         assert out["radius_bound"] == pytest.approx(1.6403, abs=1e-4)
 
+    def test_multiplicity_two_exit_2(self, tmp_path, capsys):
+        code = cli.run(["radius", "-c", write_config(tmp_path, shift={"lift": "1-t"}),
+                        "--weight", "1"])
+        assert code == 2
+        assert "m=1" in capsys.readouterr().err
+
+    def test_p_out_of_range_exit_2(self, tmp_path, capsys):
+        code = cli.run(["radius", "-c", write_config(tmp_path), "--weight", "1", "--p", "1"])
+        assert code == 2
+        assert "--p" in capsys.readouterr().err
+
+
+class TestSpectrumArgs:
+    def test_too_few_samples_exit_2(self, tmp_path, capsys):
+        code = cli.run(["spectrum", "-c", write_config(tmp_path), "--weight", "1",
+                        "--samples", "10"])
+        assert code == 2
+        assert "samples" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_agreement_two_sided(self, tmp_path, capsys):
@@ -122,7 +145,7 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["verdict"] == "two_sided"
-        assert out["agreement"] is True
+        assert out["agreement"] == "agree"
         assert len(out["evidence"]["rungs"]) == 3
 
     def test_agreement_neither(self, tmp_path, capsys):
@@ -133,12 +156,35 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["verdict"] == "neither"
-        assert out["agreement"] is True
+        assert out["agreement"] == "agree"
+
+    def test_one_sided_not_tested(self, tmp_path, capsys):
+        # F4: the ladder has no one-sided test, whatever its flags say
+        cfg = write_config(tmp_path, a="2-1.9*sin(pi*t)", b="1",
+                           oracle={"grids": [64, 128, 256]})
+        code = cli.run(["verify", "-c", cfg])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["verdict"] == "right_only"
+        assert out["agreement"] == "not_tested"
 
 
 class TestParser:
     def test_unknown_command(self):
         assert cli.run(["bogus"]) == 2
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m shiftop.cli runs main(): a missing config exits 2
+        env = dict(os.environ)
+        pkg_root = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftop.cli", "analyze", "-c",
+             str(tmp_path / "missing.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "config error" in proc.stderr
 
     def test_missing_config_flag(self):
         assert cli.run(["analyze"]) == 2

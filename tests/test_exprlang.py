@@ -169,6 +169,35 @@ class TestProperties:
         assert checked >= 400
 
 
+def same_bits(x, y) -> bool:
+    return float(x).hex() == float(y).hex()
+
+
+class TestFloatOrArray:
+    """A float in gives a float out; an ndarray in gives the same shape out."""
+
+    def test_random_expressions_float_matches_array(self):
+        rng = random.Random(20261018)
+        xs = np.concatenate([np.linspace(-1.0, 2.0, 29), [0.0, 0.5, 1.0]])
+        for _ in range(300):
+            fn = ex.as_function(random_expr(rng))
+            vals = fn(xs)
+            assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                got = fn(float(x))
+                assert isinstance(got, float)
+                assert same_bits(got, v)
+
+    @pytest.mark.parametrize("text", ["2", "pi", "2*pi - 1", "sin(1)^2", "t", "1 + 0*t"])
+    def test_shapes_including_constants(self, text):
+        fn = ex.as_function(ex.parse(text))
+        assert isinstance(fn(0.25), float)
+        for shape in ((5,), (2, 3)):
+            out = fn(np.full(shape, 0.25))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+            assert all(same_bits(v, fn(0.25)) for v in out.ravel())
+
+
 class TestFindZeros:
     def test_sine_zeros_half_open(self):
         hits = ex.find_zeros(ex.parse("sin(2*pi*t)"), 0.0, 1.0, 1e-12)

@@ -61,7 +61,7 @@ class TestRadiusEstimate:
     def test_s1_within_5_percent(self, s1, s1_structure):
         grid = so.weighted_shift_grid(so.parse("1"), s1, 1024, 2.0)
         est = so.estimate_radius_numeric(grid, iters=200)
-        target = so.radius_lebesgue(so.parse("1"), s1, s1_structure, 2.0)
+        target = so.radius_bound(so.parse("1"), s1, s1_structure, so.lebesgue(2.0))
         assert abs(est.estimate - target) <= 0.05 * target
 
     def test_identity_exact(self):
@@ -85,7 +85,7 @@ class TestRadiusEstimate:
             g = so.parse(g_text)
             grid = so.weighted_shift_grid(g, s1, 1024, 2.0)
             est = so.estimate_radius_numeric(grid, iters=200)
-            target = so.radius_lebesgue(g, s1, s1_structure, 2.0)
+            target = so.radius_bound(g, s1, s1_structure, so.lebesgue(2.0))
             assert abs(est.estimate - target) <= 0.05 * target, g_text
 
 

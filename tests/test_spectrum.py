@@ -11,7 +11,7 @@ from conftest import ALPHA_PRIME_0, ALPHA_PRIME_HALF, RADIUS_S1_P2
 
 class TestRadiusLebesgue:
     def test_s1_p2(self, s1, s1_structure):
-        r = so.radius_lebesgue(so.parse("1"), s1, s1_structure, 2.0)
+        r = so.radius_bound(so.parse("1"), s1, s1_structure, so.lebesgue(2.0))
         assert r == pytest.approx(RADIUS_S1_P2, rel=1e-12)
         assert r == pytest.approx(1.6403, abs=1e-4)
 
@@ -19,21 +19,21 @@ class TestRadiusLebesgue:
         # Carleman limit: alpha' = 1, radius is max |g| (= 2 at t = 0)
         ident = so.Shift.from_lift("t")
         ps = so.compute_periodic_structure(ident)
-        r = so.radius_lebesgue(so.parse("2-1.9*sin(pi*t)"), ident, ps, 3.0)
+        r = so.radius_bound(so.parse("2-1.9*sin(pi*t)"), ident, ps, so.lebesgue(3.0))
         assert r == pytest.approx(2.0, abs=1e-6)
 
     def test_zero_weight(self, s1, s1_structure):
-        assert so.radius_lebesgue(so.parse("0"), s1, s1_structure, 2.0) == 0.0
+        assert so.radius_bound(so.parse("0"), s1, s1_structure, so.lebesgue(2.0)) == 0.0
 
     def test_p_range(self, s1, s1_structure):
         with pytest.raises(ValueError):
-            so.radius_lebesgue(so.parse("1"), s1, s1_structure, 1.0)
+            so.radius_bound(so.parse("1"), s1, s1_structure, so.lebesgue(1.0))
 
     def test_m2_rejected(self):
         rot = so.Shift.from_lift("t+0.5")
         ps = so.compute_periodic_structure(rot)
         with pytest.raises(ValueError, match="m=1"):
-            so.radius_lebesgue(so.parse("1"), rot, ps, 2.0)
+            so.radius_bound(so.parse("1"), rot, ps, so.lebesgue(2.0))
 
 
 class TestRadiusBound:
@@ -45,9 +45,10 @@ class TestRadiusBound:
         assert r == pytest.approx(1.6403, abs=1e-4)
 
     def test_coinciding_indices_reduce_to_lebesgue(self, s1, s1_structure):
+        # on L^p the bound is the radius max |g| |alpha'|^{-1/p} over the fixed points
         rb = so.radius_bound(so.parse("1"), s1, s1_structure, so.lebesgue(2))
-        rl = so.radius_lebesgue(so.parse("1"), s1, s1_structure, 2.0)
-        assert rb == pytest.approx(rl, rel=1e-14)
+        assert rb == pytest.approx(max(ALPHA_PRIME_0 ** -0.5, ALPHA_PRIME_HALF ** -0.5),
+                                   rel=1e-14)
 
     def test_weight_vanishing_on_lambda(self, s1, s1_structure, idx):
         g = lambda t: np.sin(2 * np.pi * np.asarray(t)) ** 2
