@@ -159,6 +159,8 @@ def cmd_spectrum(args) -> int:
     try:
         ss = shift_spectrum(weight, op.shift, op.structure, op.space,
                             samples=args.samples)
+    except exprlang.ExprError as exc:
+        raise ConfigError(f"--weight: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(spectrum_to_csv(ss), args.output)
@@ -182,6 +184,8 @@ def cmd_radius(args) -> int:
             "radius_bound": radius_bound(weight, op.shift, op.structure, op.space),
             "indices": {"alpha": op.space.alpha, "beta": op.space.beta},
         }
+    except exprlang.ExprError as exc:
+        raise ConfigError(f"--weight: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(dump_json(payload), args.output)
@@ -195,8 +199,13 @@ def cmd_verify(args) -> int:
     grids = _require(cfg, "oracle.grids", list, default=DEFAULT_ORACLE["grids"])
     p = _require(cfg, "oracle.p", float, default=DEFAULT_ORACLE["p"])
     seed = _require(cfg, "oracle.seed", int, default=DEFAULT_ORACLE["seed"])
-    evidence = invertibility_evidence(op, N_ladder=tuple(grids), p=p, seed=seed,
-                                      verdict=report.verdict)
+    if not all(type(n) is int for n in grids):
+        raise ConfigError("oracle.grids must be a list of int")
+    try:
+        evidence = invertibility_evidence(op, N_ladder=tuple(grids), p=p, seed=seed,
+                                          verdict=report.verdict)
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
     # the ladder tests only two-sided and nowhere-invertible behaviour
     if report.verdict == "two_sided":
         agreement = "agree" if evidence.consistent_two_sided else "disagree"

@@ -27,7 +27,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Pi", "Var", "Unary", "Binary",
     "ExprError", "ParseError", "EvalDomainError",
-    "parse", "serialize", "evaluate", "as_function",
+    "parse", "serialize", "evaluate", "as_function", "check_finite",
     "differentiate", "is_periodic",
     "ZeroHit", "find_zeros", "zero_points",
 ]
@@ -343,6 +343,21 @@ def as_function(e) -> Callable:
     return fn
 
 
+def check_finite(e, ts, values) -> None:
+    """Raise EvalDomainError at the first t whose value is not finite.
+
+    ``values`` were computed from e (an Expr or a callable) at ``ts``; an
+    Expr is re-evaluated there with ``evaluate`` so the error names the
+    offending node.
+    """
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        t = float(np.atleast_1d(ts)[np.atleast_1d(bad)][0])
+        if not callable(e):
+            evaluate(e, t)
+        raise EvalDomainError("non-finite evaluation", t=t)
+
+
 def _n(x: float) -> Expr:
     return Num(float(x))
 
@@ -508,11 +523,7 @@ def find_zeros(e, lo: float, hi: float, tol: float = 1e-12,
     fn = as_function(e)
     xs = np.linspace(lo, hi, cells + 1)
     fx = fn(xs)
-    if not np.all(np.isfinite(fx)):
-        bad = xs[~np.isfinite(fx)][0]
-        if not callable(e):
-            evaluate(e, float(bad))  # raises with the offending node
-        raise EvalDomainError("non-finite evaluation", t=float(bad))
+    check_finite(e, xs, fx)
 
     scale = max(1.0, float(np.max(np.abs(fx))))
     node_atol = 1e-13 * scale

@@ -4,12 +4,14 @@ Corroborates the closed-form results numerically: windowed operator-norm
 Gelfand estimates for spectral radii, singular-value/residual ladders as
 invertibility evidence, and truncated Neumann inverses with measured decay
 ratios.  Everything here is labeled evidence, never proof.
+
+One ``GridOperator`` serves all three: A_N itself, the weighted shift g*W
+(a = 0, b = -g), and the Neumann iterate (b/a)*W or (a/b)*W^{-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -63,17 +65,18 @@ class GridOperator:
         return np.einsum("ik,ik->i", self.wts, v[self.idx])
 
     def apply_P_transpose(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        np.add.at(out, self.idx, self.wts * v[:, None])
-        return out
+        return np.bincount(self.idx.ravel(), weights=(self.wts * v[:, None]).ravel(),
+                           minlength=self.N)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.a_vals * v - self.b_vals * self.apply_P(v)
 
+    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
+        return self.a_vals * v - self.apply_P_transpose(self.b_vals * v)
+
     def dense_P(self) -> np.ndarray:
         P = np.zeros((self.N, self.N))
-        for k in range(4):
-            np.add.at(P, (np.arange(self.N), self.idx[:, k]), self.wts[:, k])
+        np.add.at(P, (np.arange(self.N)[:, None], self.idx), self.wts)
         return P
 
     def matrix(self) -> np.ndarray:
@@ -92,36 +95,39 @@ def _validate_grid(N: int, p: float):
         raise ValueError("p must satisfy 1 < p < inf")
 
 
-def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
-    """Collocation of A = a*I - b*W on the N-point grid."""
+def _grid(shift: Shift, a, b, N: int, p: float) -> GridOperator:
+    """Grid operator of a*I - b*W for the shift; a and b map nodes to values."""
     _validate_grid(N, p)
     nodes = np.arange(N) / N
-    a_vals = as_function(op.a)(nodes)
-    b_vals = as_function(op.b)(nodes)
-    idx, wts = _lagrange_stencil(wrap(op.shift.lift_ext(nodes)), N)
-    deriv = np.abs(op.shift.deriv(nodes))
-    return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts, deriv)
+    idx, wts = _lagrange_stencil(shift(nodes), N)
+    return GridOperator(N, p, nodes, a(nodes), b(nodes), idx, wts,
+                        np.abs(shift.deriv(nodes)))
+
+
+def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
+    """Collocation of A = a*I - b*W on the N-point grid."""
+    return _grid(op.shift, as_function(op.a), as_function(op.b), N, p)
 
 
 def weighted_shift_grid(g, shift: Shift, N: int, p: float) -> GridOperator:
     """Grid operator for g*W (the a = 0, b = -g variant of A)."""
-    _validate_grid(N, p)
-    nodes = np.arange(N) / N
-    g_vals = as_function(g)(nodes)
-    idx, wts = _lagrange_stencil(wrap(shift.lift_ext(nodes)), N)
-    deriv = np.abs(shift.deriv(nodes))
-    return GridOperator(N, p, nodes, np.zeros(N), -g_vals, idx, wts, deriv)
+    g_fn = as_function(g)
+    return _grid(shift, np.zeros_like, lambda t: -g_fn(t), N, p)
 
 
-def _smax_power(apply_M: Callable, apply_Mt: Callable, N: int, iters: int,
+def _smax_power(grid: GridOperator, K: int, iters: int,
                 rng: np.random.Generator) -> float:
-    """Largest singular value via power iteration on M^T M."""
-    v = rng.standard_normal(N)
+    """Largest singular value of M^K via power iteration on (M^K)^T M^K."""
+    v = rng.standard_normal(grid.N)
     v /= np.linalg.norm(v)
     s = 0.0
     for _ in range(iters):
-        w = apply_M(v)
-        u = apply_Mt(w)
+        w = v
+        for _ in range(K):
+            w = grid.apply(w)
+        u = w
+        for _ in range(K):
+            u = grid.apply_transpose(u)
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             return 0.0
@@ -140,21 +146,10 @@ def _saturation_window(N: int, deriv: np.ndarray, k_cap: int = 24) -> int:
     return int(np.clip(np.log(N / 8.0) / np.log(kappa), 1, k_cap))
 
 
-def _windowed_gelfand(apply_M, apply_Mt, N: int, k_max: int,
+def _windowed_gelfand(grid: GridOperator, k_max: int,
                       rng: np.random.Generator) -> tuple[float, list[float]]:
     """Geometric mean of ||M^K||/||M^{K-1}|| over the pre-saturation prefix."""
-    s = []
-    for K in range(1, k_max + 2):
-        def MK(v, K=K):
-            for _ in range(K):
-                v = apply_M(v)
-            return v
-
-        def MKt(v, K=K):
-            for _ in range(K):
-                v = apply_Mt(v)
-            return v
-        s.append(_smax_power(MK, MKt, N, 60, rng))
+    s = [_smax_power(grid, K, 60, rng) for K in range(1, k_max + 2)]
     ratios = [s[i] / s[i - 1] if s[i - 1] > 0 else 0.0 for i in range(1, len(s))]
     if not ratios:
         return s[0], []
@@ -197,26 +192,17 @@ def estimate_radius_numeric(grid: GridOperator, iters: int = 200,
     """
     if iters < 50:
         raise ValueError("iters must be >= 50")
-    weight = -grid.b_vals
     rng = np.random.default_rng(seed)
-    N = grid.N
+    k_max = _saturation_window(grid.N, grid.alpha_deriv)
+    window_est, window = _windowed_gelfand(grid, k_max, rng)
 
-    def apply_M(v):
-        return weight * grid.apply_P(v)
-
-    def apply_Mt(v):
-        return grid.apply_P_transpose(weight * v)
-
-    k_max = _saturation_window(N, grid.alpha_deriv)
-    window_est, window = _windowed_gelfand(apply_M, apply_Mt, N, k_max, rng)
-
-    v = rng.standard_normal(N)
+    v = rng.standard_normal(grid.N)
     v /= np.linalg.norm(v)
     log_prod = 0.0
     tail: list[float] = []
     steps = 0
     for _ in range(iters):
-        w = apply_M(v)
+        w = grid.apply(v)
         r = float(np.linalg.norm(w))
         tail.append(r)
         if r == 0.0:
@@ -344,66 +330,29 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = 2.0,
                          "eta0 < 0 holds on the whole curve")
 
     grid = discretize(op, N, p)
-    a_vals, b_vals = grid.a_vals, grid.b_vals
     f_vals = as_function(f)(grid.nodes)
     a_fn, b_fn = as_function(op.a), as_function(op.b)
-
     if branch == "dominant-a":
-        w_vals = b_vals / a_vals
-
-        def apply_C(v):
-            return w_vals * grid.apply_P(v)
-
-        def apply_Ct(v):
-            return grid.apply_P_transpose(w_vals * v)
-
-        acc = np.zeros(N)
-        term = f_vals / a_vals
-        for _ in range(terms):
-            acc = acc + term
-            term = apply_C(term)
-        Sf = acc
-        iter_shift = op.shift
-        iter_weight = lambda t: b_fn(t) / a_fn(t)
-        iter_deriv = grid.alpha_deriv
+        iter_shift, num, den = op.shift, b_fn, a_fn
     else:
-        inv_shift = op.shift.inverse()
-        idx_i, wts_i = _lagrange_stencil(wrap(inv_shift.lift_ext(grid.nodes)), N)
+        iter_shift, num, den = op.shift.inverse(), a_fn, b_fn
+    iter_weight = lambda t: num(t) / den(t)
+    C = weighted_shift_grid(iter_weight, iter_shift, N, p)
 
-        def apply_Pinv(v):
-            return np.einsum("ik,ik->i", wts_i, v[idx_i])
-
-        def apply_Pinv_t(v):
-            out = np.zeros_like(v)
-            np.add.at(out, idx_i, wts_i * v[:, None])
-            return out
-
-        w_vals = a_vals / b_vals
-
-        def apply_C(v):
-            return w_vals * apply_Pinv(v)
-
-        def apply_Ct(v):
-            return apply_Pinv_t(w_vals * v)
-
-        acc = np.zeros(N)
-        term = f_vals / b_vals
-        for _ in range(terms):
-            acc = acc + term
-            term = apply_C(term)
-        Sf = -apply_Pinv(acc)
-        iter_shift = inv_shift
-        iter_weight = lambda t: a_fn(t) / b_fn(t)
-        iter_deriv = np.abs(inv_shift.deriv(grid.nodes))
+    acc = np.zeros(N)
+    term = f_vals / den(grid.nodes)
+    for _ in range(terms):
+        acc = acc + term
+        term = C.apply(term)
+    Sf = acc if branch == "dominant-a" else -C.apply_P(acc)
 
     residual = grid.norm(grid.apply(Sf) - f_vals) / grid.norm(f_vals)
     # the sharp closed-form bound is stated for shifts with fixed points
     rbound = (radius_bound(iter_weight, iter_shift, op.structure, op.space)
               if op.structure.m == 1 else float("nan"))
 
-    k_geo = max(_saturation_window(N, iter_deriv, k_cap=12), 2)
+    k_geo = max(_saturation_window(N, C.alpha_deriv, k_cap=12), 2)
     rng = np.random.default_rng(seed)
-    measured, window = _windowed_gelfand(apply_C, apply_Ct, N, k_geo, rng)
-    hist = tuple(window)
+    measured, window = _windowed_gelfand(C, k_geo, rng)
     return NeumannResult(float(residual), terms, branch, float(measured),
-                         float(rbound), hist)
+                         float(rbound), tuple(window))

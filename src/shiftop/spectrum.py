@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import as_function, find_zeros
+from .exprlang import as_function, check_finite, find_zeros
 from .circle import GammaArc, PeriodicStructure, Shift, orbit_product, wrap
 from .indices import SpaceIndices
 
@@ -86,11 +86,13 @@ def radius_bound(g, shift: Shift, structure: PeriodicStructure,
                          "use shift_spectrum for higher multiplicity")
     taus = _lambda_samples(structure)
     _, factor = x.dilation_pair(shift.deriv(taus))
-    return float(np.max(np.abs(as_function(g)(taus)) * factor))
+    g_vals = as_function(g)(taus)
+    check_finite(g, taus, g_vals)
+    return float(np.max(np.abs(g_vals) * factor))
 
 
-def _delta_Delta(d, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
-    dm = np.abs(orbit_product(d, shift, m, t))
+def _delta_Delta(d_m, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
+    dm = np.abs(d_m(t))
     lo, hi = x.dilation_pair(orbit_product(shift.deriv, shift, m, t))
     return dm * lo, dm * hi
 
@@ -118,11 +120,16 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     m = structure.m
     d_fn = as_function(d)
 
+    def d_m(t):
+        vals = orbit_product(d_fn, shift, m, wrap(t))
+        check_finite(d, t, vals)
+        return vals
+
     curve_samples: list[complex] = []
     curve_values: list[tuple[complex, ...]] = []
     for arc in structure.omega:
         ts = wrap(np.linspace(arc.start, arc.end, samples + 1))
-        dm = orbit_product(d_fn, shift, m, ts)
+        dm = d_m(ts)
         vals = tuple(complex(v) for v in dm)
         curve_values.append(vals)
         for v in vals:
@@ -134,18 +141,15 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     raw: list[Annulus] = []
     for g in structure.gamma:
         endpoints = [g.tau_minus, g.tau_plus]
-        dd = [_delta_Delta(d_fn, shift, m, x, tau) for tau in endpoints]
+        dd = [_delta_Delta(d_m, shift, m, x, tau) for tau in endpoints]
         delta_min = min(v[0] for v in dd)
         Delta_max = max(v[1] for v in dd)
 
-        def dm_arc(t):
-            return orbit_product(d_fn, shift, m, wrap(t))
-
         ts = wrap(np.linspace(g.start, g.end, samples + 1))
-        min_abs = float(np.min(np.abs(dm_arc(ts))))
+        min_abs = float(np.min(np.abs(d_m(ts))))
         invertible = min_abs > GC_THRESHOLD
         if invertible:
-            hits = find_zeros(dm_arc, g.start, g.end, cells=samples)
+            hits = find_zeros(d_m, g.start, g.end, cells=samples)
             if any(h.kind == "interval" or h.certain() for h in hits):
                 invertible = False
         if invertible:
@@ -154,7 +158,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
             raw.append(Annulus(0.0, Delta_max ** (1.0 / m)))
 
     for tau in structure.yprime:
-        delta, Delta = _delta_Delta(d_fn, shift, m, x, tau)
+        delta, Delta = _delta_Delta(d_m, shift, m, x, tau)
         raw.append(Annulus(delta ** (1.0 / m), Delta ** (1.0 / m)))
 
     return SpectrumSet(m, _merge(raw), tuple(raw),

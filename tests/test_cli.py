@@ -128,6 +128,15 @@ class TestRadius:
         assert code == 2
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["log(t-0.5)", "1/(t-0.5)"])
+    def test_undefined_weight_exit_2(self, tmp_path, capsys, weight):
+        # undefined at the fixed point 0.5: no NaN/Infinity in the output
+        code = cli.run(["radius", "-c", write_config(tmp_path), "--weight", weight])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "config error: --weight:" in captured.err
+
 
 class TestSpectrumArgs:
     def test_too_few_samples_exit_2(self, tmp_path, capsys):
@@ -135,6 +144,14 @@ class TestSpectrumArgs:
                         "--samples", "10"])
         assert code == 2
         assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["log(t-0.5)", "1/(t-0.5)"])
+    def test_undefined_weight_exit_2(self, tmp_path, capsys, weight):
+        code = cli.run(["spectrum", "-c", write_config(tmp_path), "--weight", weight])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "config error: --weight:" in captured.err
 
 
 class TestVerify:
@@ -167,6 +184,19 @@ class TestVerify:
         assert code == 0
         assert out["verdict"] == "right_only"
         assert out["agreement"] == "not_tested"
+
+    @pytest.mark.parametrize("oracle", [
+        {"grids": [100, 200, 400]},
+        {"grids": [256, 128, 64]},
+        {"grids": ["a", 128, 256]},
+        {"p": 1.0},
+    ])
+    def test_bad_oracle_config_exit_2(self, tmp_path, capsys, oracle):
+        code = cli.run(["verify", "-c", write_config(tmp_path, oracle=oracle)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: oracle")
 
 
 class TestParser:

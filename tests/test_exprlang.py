@@ -255,6 +255,28 @@ class TestFindZeros:
             ex.find_zeros(ex.parse("log(t-0.5)"), 0.0, 1.0, 1e-12)
 
 
+class TestCheckFinite:
+    def test_finite_passes(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        ex.check_finite(ex.parse("t"), xs, xs)
+
+    def test_expr_names_node(self):
+        e = ex.parse("1+log(t-0.5)")
+        xs = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ex.EvalDomainError, match=r"log\(\(t - 0.5\)\) at t=0.0"):
+            ex.check_finite(e, xs, ex.as_function(e)(xs))
+
+    def test_callable_reports_first_bad_point(self):
+        xs = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(ex.EvalDomainError, match="t=0.2") as err:
+            ex.check_finite(lambda t: t, xs, np.array([1.0, np.inf, np.nan]))
+        assert err.value.t == 0.2
+
+    def test_scalar(self):
+        with pytest.raises(ex.EvalDomainError, match="t=0.5"):
+            ex.check_finite(lambda t: t, 0.5, float("nan"))
+
+
 class TestPeriodicity:
     def test_periodic(self):
         assert ex.is_periodic(ex.parse("sin(2*pi*t)"))

@@ -57,6 +57,24 @@ class TestDiscretize:
             so.discretize(op, 256, 1.0)
 
 
+class TestTranspose:
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("lift", ["t+0.1*sin(2*pi*t)", "1-t", "t+0.5"])
+    def test_matches_dense(self, idx, N, lift):
+        shift = so.Shift.from_lift(lift)
+        op = so.operator_spec("2+cos(2*pi*t)", "1+0.5*sin(2*pi*t)", shift, idx)
+        grid = so.discretize(op, N, 2.0)
+        v = np.random.default_rng(N).standard_normal(N)
+        assert np.allclose(grid.apply_P_transpose(v), grid.dense_P().T @ v,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(grid.apply_transpose(v), grid.matrix().T @ v,
+                           rtol=0, atol=1e-12)
+        g = lambda t: 1.0 + np.sin(np.pi * t)
+        wgrid = so.weighted_shift_grid(g, shift, N, 2.0)
+        assert np.allclose(wgrid.apply(v), g(wgrid.nodes) * wgrid.apply_P(v),
+                           rtol=0, atol=1e-12)
+
+
 class TestRadiusEstimate:
     def test_s1_within_5_percent(self, s1, s1_structure):
         grid = so.weighted_shift_grid(so.parse("1"), s1, 1024, 2.0)

@@ -37,6 +37,13 @@ class TestRadiusLebesgue:
 
 
 class TestRadiusBound:
+    @pytest.mark.parametrize("weight", ["log(t-0.5)", "1/(t-0.5)"])
+    def test_undefined_weight_raises(self, s1, s1_structure, idx, weight):
+        with pytest.raises(so.EvalDomainError, match="at t=0"):
+            so.radius_bound(so.parse(weight), s1, s1_structure, idx)
+        with pytest.raises(so.EvalDomainError, match="at t=0"):
+            so.shift_spectrum(so.parse(weight), s1, s1_structure, idx)
+
     def test_s1_third_half(self, s1, s1_structure, idx):
         r = so.radius_bound(so.parse("1"), s1, s1_structure, idx)
         expected = max(max(ALPHA_PRIME_0 ** (-1 / 3), ALPHA_PRIME_0 ** (-1 / 2)),
