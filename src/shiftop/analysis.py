@@ -519,7 +519,9 @@ def adjoint_spec(op: OperatorSpec) -> OperatorSpec:
     b_fn = op.b
 
     def b_star(t):
-        return b_fn(inv.apply(t, 1)) * np.abs(inv.deriv(t))
+        # |alpha_{-1}'(t)| = 1/|alpha'(x)| at x = alpha_{-1}(t): one inverse solve
+        x = inv.apply(t, 1)
+        return b_fn(x) * np.abs(1.0 / op.shift.deriv(x))
 
     # attraction reverses under the inverse shift
     gamma = tuple(GammaArc(g.start, g.end, g.tau_plus, g.tau_minus)

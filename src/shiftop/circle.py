@@ -5,6 +5,13 @@ shift is given by a monotone lift L with L(t+1) = L(t) + sigma; iterates,
 inverses, and powers are all handled through the extended lift, so
 numerically-defined shifts (inverse and composed lifts) work the same way
 as symbolic ones.
+
+Each shift tabulates one period of sigma*L, an increasing function, on 257
+nodes.  An inverse solve L(x) = y looks y up in that table for a bracket
+cell of width 1/256 and an interpolated start point, then takes Newton
+steps that are replaced by bisection whenever they leave the bracket or
+stop halving the residual (the safeguarded Newton method, "rtsafe" in
+Press et al., Numerical Recipes, section 9.4).
 """
 
 from __future__ import annotations
@@ -26,6 +33,11 @@ __all__ = [
 
 ORBIT_GUARD = 10 ** 6
 POINT_TOL = 1e-9
+# table nodes for inverse solves, and a step cap above the 45 halvings
+# that bisection alone needs to narrow a 1/256 cell to one ulp
+_TABLE_X = np.linspace(0.0, 1.0, 257)
+_SOLVE_CAP = 48
+_EPS = float(np.finfo(float).eps)
 
 
 class StructureError(ValueError):
@@ -106,9 +118,12 @@ class Shift:
         self.lift_expr = lift_expr
         self.deriv_expr = deriv_expr
         self._inv: Shift | None = None
-        # bracket half-width for inverse solves: max |L(x) - sigma*x| + 1
-        g = np.linspace(0.0, 1.0, 257)
-        self._bracket = float(np.max(np.abs(lift_ext(g) - orientation * g))) + 1.0
+        # one period of sigma*L, increasing: the lookup table of _solve_inverse
+        self._table = orientation * lift_ext(_TABLE_X)
+        steps = np.diff(self._table)
+        if not np.all(steps > 0.0):
+            k = int(np.argmin(steps))
+            raise StructureError(f"lift is not strictly monotone near t={_TABLE_X[k]:.6f}")
 
     @classmethod
     def from_lift(cls, lift, orientation: str = "auto", grid: int = 4096) -> "Shift":
@@ -148,25 +163,58 @@ class Shift:
         return wrap(self.lift_ext(t))
 
     def _solve_inverse(self, y):
-        """Solve L(x) = y for the extended lift (vector bisection + Newton)."""
-        s = float(self.orientation)
-        a = s * y - self._bracket
-        b = s * y + self._bracket
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            neg = s * self.lift_ext(m) - s * y < 0
-            a = np.where(neg, m, a)
-            b = np.where(neg, b, m)
-        x = 0.5 * (a + b)
-        for _ in range(3):
-            g = self.lift_ext(x) - y
-            dg = self.deriv(x)
-            step = g / np.where(np.abs(dg) > 1e-300, dg, 1.0)
-            x = x - np.clip(step, -0.5, 0.5)
-        resid = np.max(np.abs(self.lift_ext(x) - y))
-        if not resid <= 1e-10:
-            raise StructureError("inverse lift solve failed to converge; lift not monotone?")
-        return x
+        """Solve L(x) = y for the extended lift, elementwise.
+
+        g(x) = sigma*(L(x) - y) increases in x.  With z = sigma*y and
+        n = floor(z - table[0]), r = z - n lies in one period of the table,
+        whose cell around r gives the bracket n + [x_{j-1}, x_j] and whose
+        linear interpolant gives the start point.  Each step evaluates g at
+        the Newton step x - g/g' from the best point x so far, or at the
+        bracket midpoint when that step leaves the bracket or the previous
+        step failed to halve |g|.  The new point replaces the bracket end
+        with the same sign of g, and replaces x if its |g| is smaller.  An
+        element stops once |g| <= 4 eps (1 + |y|), or after _SOLVE_CAP
+        steps.  Raises StructureError, naming the worst y and its residual,
+        unless |L(x) - y| <= 1e-10 everywhere.
+        """
+        s = self.orientation
+        sls = self._table
+        yv = np.ravel(y)
+        n = np.floor(s * yv - sls[0])
+        r = s * yv - n
+        j = np.searchsorted(sls[1:-1], r) + 1   # sls[j-1] < r <= sls[j], 1 <= j <= 256
+        lo, hi = n + _TABLE_X[j - 1], n + _TABLE_X[j]
+        x = n + np.interp(r, sls, _TABLE_X)
+        g = s * (self.lift_ext(x) - yv)
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g > 0.0, x, hi)
+        tol = 4.0 * _EPS * (1.0 + np.abs(yv))
+        halved = np.ones(yv.shape, dtype=bool)   # the latest step halved |g|
+        act = np.flatnonzero(np.abs(g) > tol)
+        for _ in range(_SOLVE_CAP):
+            if act.size == 0:
+                break
+            xa, ga, la, ha = x[act], g[act], lo[act], hi[act]
+            newton = xa - ga / (s * self.deriv(xa))
+            take = halved[act] & (la <= newton) & (newton <= ha)
+            c = np.where(take, newton, 0.5 * (la + ha))
+            gc = s * (self.lift_ext(c) - yv[act])
+            neg = gc < 0.0
+            lo[act] = np.where(neg, c, la)
+            hi[act] = np.where(neg, ha, c)
+            halved[act] = np.abs(gc) <= 0.5 * np.abs(ga)
+            # x keeps the point of least |g| found so far
+            better = np.abs(gc) < np.abs(ga)
+            x[act] = np.where(better, c, xa)
+            g[act] = np.where(better, gc, ga)
+            act = act[np.abs(g[act]) > tol[act]]
+        resid = np.abs(g)
+        k = int(np.argmax(resid))
+        if not resid[k] <= 1e-10:
+            raise StructureError(
+                f"inverse lift solve failed to converge: |L(x) - y| = {resid[k]:.3g} "
+                f"at y = {float(yv[k])!r}; lift not monotone?")
+        return x.reshape(np.shape(y))[()]   # a float for a float, else y's shape
 
     def inverse(self) -> "Shift":
         """The shift alpha_{-1}, with derivative 1/alpha'(alpha_{-1})."""

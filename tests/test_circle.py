@@ -57,6 +57,103 @@ class TestShiftValidation:
             so.Shift.from_lift("1-t", orientation="preserve")
 
 
+class TestInverseSolve:
+    """The inverse-lift solve: table bracket, then safeguarded Newton."""
+
+    LIFTS = ["t+0.1*sin(2*pi*t)", "t+0.05*sin(4*pi*t)", "t+0.03+0.1*sin(2*pi*t)",
+             "t+0.5", "1-t", "t",
+             "t+0.15*sin(2*pi*t)"]   # alpha' from 0.06 to 1.94
+    NODES = np.linspace(0.0, 1.0, 257)
+
+    @staticmethod
+    def _shifts():
+        s1 = so.Shift.from_lift("t+0.1*sin(2*pi*t)")
+        inv = s1.inverse()
+        shifts = {lift: so.Shift.from_lift(lift) for lift in TestInverseSolve.LIFTS}
+        shifts["S1^2"] = s1.power(2)
+        shifts["S1^-1^-1"] = inv.inverse()
+        # the inverse lift as a forward lift: a solve nested in a solve
+        shifts["S1^-1 fresh"] = so.Shift(inv.lift_ext, inv.deriv, inv.orientation)
+        return shifts
+
+    def _targets(self, shift):
+        """The table nodes, the seams L(0) + k and 1 ulp either side, |y| up to 1e3."""
+        lift = shift.lift_ext
+        seams = lift(0.0) + np.arange(-3.0, 4.0)
+        rng = np.random.default_rng(11)
+        return np.concatenate([lift(self.NODES), lift(self.NODES - 2.0), lift(self.NODES + 7.0),
+                               seams, np.nextafter(seams, np.inf), np.nextafter(seams, -np.inf),
+                               rng.uniform(-1e3, 1e3, 64), [-1e3, 1e3]])
+
+    @pytest.mark.parametrize("name", LIFTS + ["S1^2", "S1^-1^-1", "S1^-1 fresh"])
+    def test_residual_and_round_trip(self, name):
+        shift = self._shifts()[name]
+        solve = shift.inverse().lift_ext
+        ys = self._targets(shift)
+        xs = solve(ys)
+        assert xs.shape == ys.shape
+        assert np.max(np.abs(shift.lift_ext(xs) - ys)) <= 1e-10, name
+        for y, x in zip(ys[::5], xs[::5]):
+            got = solve(float(y))
+            assert isinstance(got, float)
+            assert abs(shift.lift_ext(got) - y) <= 1e-10, (name, y)
+            assert got.hex() == float(x).hex(), (name, y)
+        rng = np.random.default_rng(12)
+        pts = np.concatenate([self.NODES + k for k in range(-3, 4)] + [rng.uniform(-4.0, 4.0, 200)])
+        assert np.max(np.abs(solve(shift.lift_ext(pts)) - pts)) <= 1e-12, name
+        for x in pts[::37]:
+            assert abs(solve(shift.lift_ext(float(x))) - x) <= 1e-12, (name, x)
+
+    def test_target_past_table_end(self):
+        # a period jump 4 ulps short of 1 puts y = 1 - ulp past the table's
+        # last entry; the root lies just beyond the last cell
+        scale = 1.0 - 2.0 ** -51
+        shift = so.Shift(lambda x: x * scale, lambda t: scale + 0.0 * t, 1)
+        y = np.nextafter(1.0, 0.0)
+        for target in (y, np.array([0.5, y])):
+            x = shift.inverse().lift_ext(target)
+            assert np.max(np.abs(shift.lift_ext(x) - target)) <= 1e-10
+
+    def test_noisy_lift(self):
+        # 1e6*t - 1e6*t rounds L to multiples of about 1.2e-10, above the
+        # stopping tolerance: the solve runs to its cap and must return its
+        # best point, not its last
+        shift = so.Shift.from_lift("t+0.1*sin(2*pi*t)+1e6*t-1e6*t")
+        ys = np.random.default_rng(13).uniform(-1e3, 1e3, 300)
+        xs = shift.inverse().lift_ext(ys)
+        assert np.max(np.abs(shift.lift_ext(xs) - ys)) <= 1e-10
+
+    def test_scalar_solve_lift_evaluations(self, s1):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return s1.lift_ext(x)
+
+        inv = so.Shift(counted, s1.deriv, 1).inverse()
+        for y in np.linspace(-1.0, 2.0, 61):
+            calls.clear()
+            inv.lift_ext(float(y))
+            assert len(calls) <= 10, (y, len(calls))
+
+    def test_non_monotone_callable_rejected(self):
+        with pytest.raises(StructureError, match="monotone"):
+            so.Shift(lambda x: x + 0.3 * np.sin(2 * np.pi * x),
+                     lambda t: 1 + 0.6 * np.pi * np.cos(2 * np.pi * t), 1)
+
+    def test_failure_names_worst_y(self):
+        # a jump of 0.001 at t = 0.301, inside one table cell: the values L
+        # skips have no preimage, so the solve cannot converge there
+        def lift(x):
+            n = np.floor(x)
+            u = x - n
+            return u + 0.001 * (u > 0.301) + n
+
+        shift = so.Shift(lift, lambda t: 1.0 + 0.0 * t, 1)
+        with pytest.raises(StructureError, match=r"\|L\(x\) - y\| = 0\.0004 at y = 0\.3014;"):
+            shift.apply(np.array([0.1, 0.3014, 0.3012, 0.7]), -1)
+
+
 class TestDetect:
     def test_s1(self, s1):
         assert so.detect_orientation_and_multiplicity(s1) == (1, 1)
