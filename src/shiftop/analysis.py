@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import Expr, as_function, find_zeros, is_periodic, parse
+from .exprlang import as_function, find_zeros, is_periodic, parse
 from .circle import (Arc, GammaArc, PeriodicStructure, Shift, StructureError,
                      circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
@@ -39,12 +39,8 @@ class UndecidableError(StructureError):
 
 
 def _coeff(c):
-    """Normalize a coefficient to (vectorized function, optional Expr)."""
-    if isinstance(c, str):
-        c = parse(c)
-    if callable(c):
-        return c, None
-    return as_function(c), c
+    """A coefficient (string, Expr or callable) as a vectorized function."""
+    return as_function(parse(c) if isinstance(c, str) else c)
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,6 @@ class OperatorSpec:
     shift: Shift
     structure: PeriodicStructure
     space: SpaceIndices
-    a_expr: Expr | None = None
-    b_expr: Expr | None = None
 
     @property
     def m(self) -> int:
@@ -72,15 +66,14 @@ def operator_spec(a, b, shift, space: SpaceIndices,
 
     if isinstance(shift, str):
         shift = Shift.from_lift(shift)
-    a_fn, a_expr = _coeff(a)
-    b_fn, b_expr = _coeff(b)
+    a_fn, b_fn = _coeff(a), _coeff(b)
     if structure is None:
         structure = compute_periodic_structure(shift)
     if validate:
         for name, fn in (("a", a_fn), ("b", b_fn)):
             if not is_periodic(fn):
                 raise ValueError(f"coefficient {name} is not 1-periodic")
-    return OperatorSpec(a_fn, b_fn, shift, structure, space, a_expr, b_expr)
+    return OperatorSpec(a_fn, b_fn, shift, structure, space)
 
 
 def _orbit_fn(f, shift: Shift, m: int) -> Callable:
@@ -115,9 +108,9 @@ class Classification:
 
 @dataclass(frozen=True)
 class GammaPartition:
-    """Assignment of every component arc and boundary point to a Gamma set."""
+    """Assignment of every moving arc and boundary point to a Gamma set
+    (the Carleman part omega of the structure is Gamma1)."""
 
-    omega: tuple[Arc, ...]
     arcs: tuple[tuple[GammaArc, Classification], ...]
     points: tuple[tuple[float, Classification], ...]
 
@@ -149,9 +142,9 @@ class GammaPartition:
         raise StructureError("partition does not cover the structure")
 
 
-def _classify(eta: tuple[float, float, float, float], band: float) -> str:
+def _classify(eta: tuple[float, float, float, float]) -> str:
     e0m, e0p, e1m, e1p = eta
-    if any(abs(v) <= band for v in eta):
+    if any(abs(v) <= SIGN_BAND for v in eta):
         return DEGENERATE
     if e1m > 0 and e1p > 0:
         return GAMMA2
@@ -164,7 +157,7 @@ def _classify(eta: tuple[float, float, float, float], band: float) -> str:
     return NONE_CLASS
 
 
-def build_partition(op: OperatorSpec, band: float = SIGN_BAND) -> GammaPartition:
+def build_partition(op: OperatorSpec) -> GammaPartition:
     """Classify each gamma arc and boundary point by the signs of eta^±.
 
     eta^± are constant along each arc (they are the values at its
@@ -177,13 +170,13 @@ def build_partition(op: OperatorSpec, band: float = SIGN_BAND) -> GammaPartition
         e0m, e1m = eta_values(op, g.tau_minus)
         e0p, e1p = eta_values(op, g.tau_plus)
         eta = (e0m, e0p, e1m, e1p)
-        arcs.append((g, Classification(_classify(eta, band), eta)))
+        arcs.append((g, Classification(_classify(eta), eta)))
     points = []
     for p in ps.y:
         e0, e1 = eta_values(op, p)
         eta = (e0, e0, e1, e1)
-        points.append((p, Classification(_classify(eta, band), eta)))
-    return GammaPartition(ps.omega, tuple(arcs), tuple(points))
+        points.append((p, Classification(_classify(eta), eta)))
+    return GammaPartition(tuple(arcs), tuple(points))
 
 
 def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> float:
@@ -193,15 +186,9 @@ def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> flo
     region = partition.classify(op.structure, t)
     if region == DEGENERATE:
         raise UndecidableError(f"classification degenerate at t={t!r}")
-    am = orbit_product(op.a, op.shift, op.m, t)
-    bm = orbit_product(op.b, op.shift, op.m, t)
-    if region == GAMMA1:
-        return am - bm
-    if region == GAMMA2:
-        return am
-    if region == GAMMA3:
-        return -bm
-    return 0.0
+    if region not in (GAMMA1, GAMMA2, GAMMA3):
+        return 0.0
+    return _region_sigma_fn(op, region)(t)
 
 
 def _arc_zeros(fn, arc: Arc, tol: float = 1e-12, cells: int = 4096):
@@ -360,19 +347,22 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
     near-zero dips the scan refuses to call.
     """
     ps = op.structure
-    regions: list[tuple[str, Arc]] = [(GAMMA1, a) for a in partition.omega]
+    regions: list[tuple[str, Arc]] = [(GAMMA1, a) for a in ps.omega]
     regions += [(c.region, a) for a, c in partition.arcs if c.region in (GAMMA2, GAMMA3)]
 
     zeros: list[tuple[str, float]] = []
     ambiguous: list[float] = []
     extrema: dict[str, dict] = {}
+
+    def record(region, vals):
+        ext = extrema.setdefault(region, {"min": np.inf, "max": -np.inf, "min_abs": np.inf})
+        ext["min"] = min(ext["min"], float(np.min(vals)))
+        ext["max"] = max(ext["max"], float(np.max(vals)))
+        ext["min_abs"] = min(ext["min_abs"], float(np.min(np.abs(vals))))
+
     for region, arc in regions:
         fn = _region_sigma_fn(op, region)
-        samples = fn(wrap(np.linspace(arc.start, arc.end, 257)))
-        ext = extrema.setdefault(region, {"min": np.inf, "max": -np.inf, "min_abs": np.inf})
-        ext["min"] = min(ext["min"], float(np.min(samples)))
-        ext["max"] = max(ext["max"], float(np.max(samples)))
-        ext["min_abs"] = min(ext["min_abs"], float(np.min(np.abs(samples))))
+        record(region, fn(wrap(np.linspace(arc.start, arc.end, 257))))
         full_circle_arc = arc.length == 1.0
         hits = _arc_zeros(fn, arc)
         if not full_circle_arc:
@@ -387,21 +377,13 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
     # recorded for the report)
     for p, c in partition.points:
         if c.region in (GAMMA2, GAMMA3):
-            fn = _region_sigma_fn(op, c.region)
-            val = fn(p)
-            ext = extrema.setdefault(c.region, {"min": np.inf, "max": -np.inf, "min_abs": np.inf})
-            ext["min"] = min(ext["min"], val)
-            ext["max"] = max(ext["max"], val)
-            ext["min_abs"] = min(ext["min_abs"], abs(val))
-    for ext in extrema.values():
-        for k, v in list(ext.items()):
-            ext[k] = float(v)
+            record(c.region, _region_sigma_fn(op, c.region)(p))
     return zeros, ambiguous, extrema
 
 
-def _partition_summary(partition: GammaPartition) -> dict:
+def _partition_summary(ps: PeriodicStructure, partition: GammaPartition) -> dict:
     return {
-        "omega": [[a.start, a.end] for a in partition.omega],
+        "omega": [[a.start, a.end] for a in ps.omega],
         "arcs": [{"start": a.start, "end": a.end, "region": c.region,
                   "eta": list(c.eta)} for a, c in partition.arcs],
         "points": [{"t": p, "region": c.region, "eta0": c.eta[0], "eta1": c.eta[2]}
@@ -409,7 +391,7 @@ def _partition_summary(partition: GammaPartition) -> dict:
     }
 
 
-def decide(op: OperatorSpec, band: float = SIGN_BAND) -> InvertibilityReport:
+def decide(op: OperatorSpec) -> InvertibilityReport:
     """Right/left invertibility verdict for A = a*I - b*W.
 
     right holds iff sigma_A has no zero off Gamma4 and R(Gamma4) holds;
@@ -423,8 +405,8 @@ def decide(op: OperatorSpec, band: float = SIGN_BAND) -> InvertibilityReport:
              "detail": "tangential fixed-point zeros in the periodic structure"},
             {}, {})
 
-    partition = build_partition(op, band)
-    summary = _partition_summary(partition)
+    partition = build_partition(op)
+    summary = _partition_summary(op.structure, partition)
 
     degen = partition.degenerate_locations
     if degen:
@@ -456,7 +438,7 @@ def decide(op: OperatorSpec, band: float = SIGN_BAND) -> InvertibilityReport:
         # Y' branch: eta0*eta1 > 0 must hold at every declared limit point
         for tau in op.structure.yprime:
             e0, e1 = eta_values(op, tau)
-            if abs(e0) <= band or abs(e1) <= band:
+            if abs(e0) <= SIGN_BAND or abs(e1) <= SIGN_BAND:
                 return InvertibilityReport(
                     "undecidable", None, None,
                     {"type": "degenerate_yprime", "t": tau, "eta0": e0, "eta1": e1},
@@ -527,8 +509,7 @@ def adjoint_spec(op: OperatorSpec) -> OperatorSpec:
     gamma = tuple(GammaArc(g.start, g.end, g.tau_plus, g.tau_minus)
                   for g in op.structure.gamma)
     structure = replace(op.structure, gamma=gamma)
-    return OperatorSpec(op.a, b_star, inv, structure, associate_indices(op.space),
-                        op.a_expr, None)
+    return OperatorSpec(op.a, b_star, inv, structure, associate_indices(op.space))
 
 
 def reduce_to_fixed(op: OperatorSpec) -> tuple[OperatorSpec, bool]:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import Expr, ZeroHit, as_function, differentiate, find_zeros, parse
+from .exprlang import ZeroHit, as_function, differentiate, find_zeros, parse
 
 __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
@@ -33,6 +33,10 @@ __all__ = [
 
 ORBIT_GUARD = 10 ** 6
 POINT_TOL = 1e-9
+# the 4096-cell grid on which lifts are validated and periodic structure is scanned
+_CELLS = 4096
+_GRID = np.linspace(0.0, 1.0, _CELLS + 1)
+_M_MAX = 16   # highest multiplicity the structure scan tries
 # table nodes for inverse solves, and a step cap above the 45 halvings
 # that bisection alone needs to narrow a 1/256 cell to one ulp
 _TABLE_X = np.linspace(0.0, 1.0, 257)
@@ -108,15 +112,12 @@ class Shift:
     float-or-array convention of ``exprlang.as_function``.
     """
 
-    def __init__(self, lift_ext: Callable, deriv: Callable, orientation: int,
-                 lift_expr: Expr | None = None, deriv_expr: Expr | None = None):
+    def __init__(self, lift_ext: Callable, deriv: Callable, orientation: int):
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         self.lift_ext = lift_ext
         self.deriv = deriv
         self.orientation = orientation
-        self.lift_expr = lift_expr
-        self.deriv_expr = deriv_expr
         self._inv: Shift | None = None
         # one period of sigma*L, increasing: the lookup table of _solve_inverse
         self._table = orientation * lift_ext(_TABLE_X)
@@ -126,15 +127,13 @@ class Shift:
             raise StructureError(f"lift is not strictly monotone near t={_TABLE_X[k]:.6f}")
 
     @classmethod
-    def from_lift(cls, lift, orientation: str = "auto", grid: int = 4096) -> "Shift":
+    def from_lift(cls, lift, orientation: str = "auto") -> "Shift":
         """Build and validate a shift from a lift expression (string or Expr)."""
         lift_expr = parse(lift) if isinstance(lift, str) else lift
-        deriv_expr = differentiate(lift_expr)
         lf = as_function(lift_expr)
-        df = as_function(deriv_expr)
+        df = as_function(differentiate(lift_expr))
 
-        xs = np.linspace(0.0, 1.0, grid + 1)
-        ls = lf(xs)
+        ls = lf(_GRID)
         if not np.all(np.isfinite(ls)):
             raise StructureError("lift evaluates to non-finite values on [0,1]")
         jump = ls[-1] - ls[0]
@@ -148,8 +147,8 @@ class Shift:
         diffs = np.diff(ls) * sigma
         if np.min(diffs) <= 0.0:
             k = int(np.argmin(diffs))
-            raise StructureError(f"lift is not strictly monotone near t={xs[k]:.6f}")
-        ds = df(xs)
+            raise StructureError(f"lift is not strictly monotone near t={_GRID[k]:.6f}")
+        ds = df(_GRID)
         if not np.all(np.isfinite(ds)) or np.min(np.abs(ds)) <= 0.0:
             raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
 
@@ -157,7 +156,7 @@ class Shift:
             n = np.floor(x)
             return lf(x - n) + sigma * n
 
-        return cls(lift_ext, lambda t: df(wrap(t)), sigma, lift_expr, deriv_expr)
+        return cls(lift_ext, lambda t: df(wrap(t)), sigma)
 
     def __call__(self, t):
         return wrap(self.lift_ext(t))
@@ -272,19 +271,18 @@ def orbit_product(f, shift: Shift, m: int, t):
 class PeriodicStructure:
     """Fixed-point structure of alpha_m on the circle.
 
-    lambda_points / lambda_arcs make up the set of periodic points; y is
-    its boundary; omega are the interior components (the Carleman part)
-    and gamma the moving components with their attraction endpoints.
-    yprime is never populated by the detector (finite boundaries only) but
-    may be supplied for user-built structures with limit points.
+    lambda_points / lambda_arcs make up the set Lambda of periodic points,
+    and gamma the moving components with their attraction endpoints.  The
+    boundary y of Lambda and its interior omega (the Carleman part) are
+    derived from lambda_points and lambda_arcs, not stored.  yprime is
+    never populated by the detector (finite boundaries only) but may be
+    supplied for user-built structures with limit points.
     """
 
     m: int
     orientation: int
     lambda_points: tuple[float, ...]
     lambda_arcs: tuple[Arc, ...]
-    y: tuple[float, ...]
-    omega: tuple[Arc, ...]
     gamma: tuple[GammaArc, ...]
     yprime: tuple[float, ...] = ()
     uncertain: bool = False
@@ -293,6 +291,20 @@ class PeriodicStructure:
     @property
     def full_circle(self) -> bool:
         return any(a.length == 1.0 for a in self.lambda_arcs)
+
+    @property
+    def omega(self) -> tuple[Arc, ...]:
+        """The interior of Lambda: its arcs."""
+        return self.lambda_arcs
+
+    @property
+    def y(self) -> tuple[float, ...]:
+        """The boundary of Lambda, sorted: its isolated points and arc ends;
+        empty on a full circle."""
+        if self.full_circle:
+            return ()
+        ends = [p for a in self.lambda_arcs for p in (a.start, wrap(a.end))]
+        return tuple(sorted(set(self.lambda_points) | set(ends)))
 
     def in_lambda(self, t, tol: float | None = None) -> bool:
         tol = self.point_tol if tol is None else tol
@@ -319,78 +331,65 @@ class PeriodicStructure:
         return min(self.y, key=lambda p: float(circle_dist(t, p)))
 
 
-def _touches_integer(vals: np.ndarray, tol: float) -> list[int]:
-    lo = math.floor(float(np.min(vals)) - tol)
-    hi = math.ceil(float(np.max(vals)) + tol)
-    out = []
-    for n in range(lo, hi + 1):
-        if float(np.min(vals)) - tol <= n <= float(np.max(vals)) + tol:
-            out.append(n)
-    return out
+def _periodic_branches(shift: Shift, m_max: int = _M_MAX) -> tuple[int, list[int]]:
+    """The multiplicity m and the lift branches n on which L^m(x) - x - n
+    may vanish.
 
-
-def _iterated_lift_minus_id(shift: Shift, j: int, xs: np.ndarray) -> np.ndarray:
-    y = xs
-    for _ in range(j):
-        y = shift.lift_ext(y)
-    return y - xs
-
-
-def detect_orientation_and_multiplicity(shift: Shift, m_max: int = 16,
-                                        grid: int = 4096) -> tuple[int, int]:
-    """Orientation from the lift, multiplicity from the first iterate with
-    periodic points.
-
-    Orientation-reversing shifts always get m = 2 (they have two fixed
-    points and all other periodic points have multiplicity two).
+    Carries y = L^j(x) forward on the grid one iterate at a time, and stops
+    at the first j whose u = L^j(x) - x comes within 1e-7 of an integer,
+    after refining u's extreme cells on 65 points each.  The integers it
+    comes within 1e-7 of are the branches.  Orientation-reversing shifts
+    always get m = 2 (they have two fixed points and all other periodic
+    points have multiplicity two).
     """
-    if shift.orientation == -1:
-        return -1, 2
-    if m_max < 1:
+    reversing = shift.orientation == -1
+    if not reversing and m_max < 1:
         raise ValueError("m_max must be >= 1")
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    for j in range(1, m_max + 1):
-        u = _iterated_lift_minus_id(shift, j, xs)
+    y = _GRID
+    for j in range(1, 3 if reversing else m_max + 1):
+        y = shift.lift_ext(y)
+        if reversing and j == 1:
+            continue
+        u = y - _GRID
         umin, umax = float(np.min(u)), float(np.max(u))
-        # refine the extreme cells a little before testing integer touch
-        for pick, best in ((np.argmin, umin), (np.argmax, umax)):
-            i = int(pick(u))
-            a, b = xs[max(i - 1, 0)], xs[min(i + 1, grid)]
-            fine = np.linspace(a, b, 65)
-            uf = _iterated_lift_minus_id(shift, j, fine)
-            umin = min(umin, float(np.min(uf)))
-            umax = max(umax, float(np.max(uf)))
-        for n in range(math.ceil(umin - 1e-7), math.floor(umax + 1e-7) + 1):
-            if umin - 1e-7 <= n <= umax + 1e-7:
-                return 1, j
+        for i in (int(np.argmin(u)), int(np.argmax(u))):
+            fine = np.linspace(_GRID[max(i - 1, 0)], _GRID[min(i + 1, _CELLS)], 65)
+            yf = fine
+            for _ in range(j):
+                yf = shift.lift_ext(yf)
+            umin = min(umin, float(np.min(yf - fine)))
+            umax = max(umax, float(np.max(yf - fine)))
+        branches = list(range(math.ceil(umin - 1e-7), math.floor(umax + 1e-7) + 1))
+        if branches or reversing:
+            return j, branches
     raise NoPeriodicStructureError(f"no periodic structure with multiplicity <= {m_max}")
 
 
-def compute_periodic_structure(shift: Shift, m: int | None = None,
-                               grid: int = 4096, tol: float = 1e-12,
+def detect_orientation_and_multiplicity(shift: Shift, m_max: int = _M_MAX) -> tuple[int, int]:
+    """Orientation from the lift, multiplicity from the first iterate with
+    periodic points (2 for orientation-reversing shifts)."""
+    return shift.orientation, _periodic_branches(shift, m_max)[0]
+
+
+def compute_periodic_structure(shift: Shift, tol: float = 1e-12,
                                flat_tol: float = 1e-11) -> PeriodicStructure:
     """Detect the fixed-point set of alpha_m and decompose the circle.
 
     Tangential (suspect) fixed-point zeros mark the structure uncertain;
     downstream verdicts refuse to decide on uncertain structures.
     """
-    if m is None:
-        orientation, m = detect_orientation_and_multiplicity(shift, grid=grid)
-    else:
-        orientation = shift.orientation
-
-    lift_m = shift.power(m) if m > 1 else shift
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    u = _iterated_lift_minus_id(lift_m, 1, xs)
-    candidates = _touches_integer(u, tol=1e-7)
+    m, branches = _periodic_branches(shift)
 
     def v(x, n):
-        """lift_m(x) - x - n, zero at the fixed points on lift branch n."""
-        return lift_m.lift_ext(x) - x - n
+        """L^m(x) - x - n, zero at the fixed points of alpha_m on lift branch n."""
+        y = x
+        for _ in range(m):
+            y = shift.lift_ext(y)
+        return y - x - n
 
     found: list[tuple[int, list[ZeroHit]]] = []
-    for n in candidates:
-        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0, tol=tol, cells=grid,
+    for n in branches:
+        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0, tol=tol, cells=_CELLS,
                           flat_tol=flat_tol)
         if hits:
             found.append((n, hits))
@@ -407,8 +406,7 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
 
     # full-circle fixed set
     if intervals and intervals[0][0] <= 1e-12 and intervals[0][1] >= 1.0 - 1e-12:
-        full = Arc(0.0, 1.0)
-        return PeriodicStructure(m, orientation, (), (full,), (), (full,), (),
+        return PeriodicStructure(m, shift.orientation, (), (Arc(0.0, 1.0),), (),
                                  uncertain=uncertain)
 
     # components as (start, end) with end >= start, sorted by start
@@ -430,19 +428,11 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
 
     lambda_points: list[float] = []
     lambda_arcs: list[Arc] = []
-    y: list[float] = []
     for a, b in merged:
         if b - a <= 8 * tol:
-            p = wrap(0.5 * (a + b))
-            lambda_points.append(p)
-            y.append(p)
+            lambda_points.append(wrap(0.5 * (a + b)))
         else:
-            arc = Arc(wrap(a), wrap(a) + (b - a))
-            lambda_arcs.append(arc)
-            y.append(arc.start)
-            y.append(wrap(arc.end))
-
-    omega = [Arc(a.start, a.end) for a in lambda_arcs]
+            lambda_arcs.append(Arc(wrap(a), wrap(a) + (b - a)))
 
     gamma: list[GammaArc] = []
     n_comp = len(merged)
@@ -458,10 +448,8 @@ def compute_periodic_structure(shift: Shift, m: int | None = None,
             tau_minus, tau_plus = wrap(arc.end), wrap(arc.start)
         gamma.append(GammaArc(arc.start, arc.end, tau_minus, tau_plus))
 
-    return PeriodicStructure(m, orientation,
-                             tuple(lambda_points), tuple(lambda_arcs),
-                             tuple(sorted(set(y))), tuple(omega), tuple(gamma),
-                             uncertain=uncertain)
+    return PeriodicStructure(m, shift.orientation, tuple(lambda_points), tuple(lambda_arcs),
+                             tuple(gamma), uncertain=uncertain)
 
 
 def orbit_limit_endpoints(ps: PeriodicStructure, t: float) -> tuple[float, float]:

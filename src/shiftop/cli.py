@@ -22,7 +22,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNDECIDABLE = 3
 
-DEFAULT_TOLERANCES = {"zero": 1e-12, "band": 1e-10, "flat": 1e-11}
+DEFAULT_TOLERANCES = {"zero": 1e-12, "flat": 1e-11}
 DEFAULT_ORACLE = {"grids": [256, 512, 1024], "p": 2.0, "seed": 0x5EED}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -171,6 +172,30 @@ class TestDetect:
         with pytest.raises(so.NoPeriodicStructureError):
             so.detect_orientation_and_multiplicity(rot, m_max=12)
 
+    @pytest.mark.parametrize("lift", [
+        "t+0.1*sin(2*pi*t)", "t+0.05*sin(4*pi*t)", "t+0.03+0.1*sin(2*pi*t)", "t+0.5",
+        "1-t", "t", "-t", "t+1/3", "t+0.25+0.02*sin(8*pi*t)", "0.3-t+0.05*sin(2*pi*t)"])
+    def test_multiplicity_matches_structure(self, lift):
+        shift = so.Shift.from_lift(lift)
+        m = so.detect_orientation_and_multiplicity(shift)[1]
+        assert m == so.compute_periodic_structure(shift).m
+
+    @pytest.mark.parametrize("lift, m", [("t+0.1*sin(2*pi*t)", 1), ("t+0.5", 2), ("-t", 2),
+                                         ("t+0.25+0.02*sin(8*pi*t)", 4)])
+    def test_grid_lift_passes(self, lift, m):
+        # one pass per iterate to find m, one per iterate for the zero scan
+        shift = so.Shift.from_lift(lift)
+        lift_ext = shift.lift_ext
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return lift_ext(x)
+
+        shift.lift_ext = counted
+        assert so.compute_periodic_structure(shift).m == m
+        assert sizes.count(4097) <= 2 * m, sizes.count(4097)
+
 
 class TestStructure:
     def test_s1_structure(self, s1_structure):
@@ -221,6 +246,15 @@ class TestStructure:
         shift = so.Shift.from_lift("t + 0.05 - 0.05*cos(2*pi*(t-0.5))")
         ps = so.compute_periodic_structure(shift)
         assert ps.uncertain
+
+    def test_boundary_and_interior_are_derived(self, s1_structure):
+        ps = dataclasses.replace(s1_structure, lambda_points=(0.5,),
+                                 lambda_arcs=(Arc(0.75, 1.125),))
+        assert ps.y == (0.125, 0.5, 0.75)
+        assert ps.omega == (Arc(0.75, 1.125),)
+        full = dataclasses.replace(ps, lambda_points=(), lambda_arcs=(Arc(0.0, 1.0),))
+        assert full.y == ()
+        assert full.omega == (Arc(0.0, 1.0),)
 
     def test_partition_covers_circle(self, s1_structure):
         ps = s1_structure

@@ -1,0 +1,25 @@
+"""The README's library quick start runs and prints what its comments show."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_prints_its_comments():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    # each print line's trailing comment is its output; "..." stands for more digits
+    expected = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    got = out.getvalue().splitlines()
+    assert expected == ["right_only", "{'type': 'sigma_zero', 'region': 'gamma4', 't': 0.25}",
+                        "0.78366... 1.64026..."]
+    assert len(got) == len(expected)
+    for want, line in zip(expected, got):
+        assert re.fullmatch(r"\d*".join(map(re.escape, want.split("..."))), line), (want, line)
