@@ -24,6 +24,10 @@ EXIT_UNDECIDABLE = 3
 
 DEFAULT_TOLERANCES = {"zero": 1e-12, "flat": 1e-11}
 DEFAULT_ORACLE = {"grids": [256, 512, 1024], "p": 2.0, "seed": 0x5EED}
+# every config field: top-level key -> its sub-keys (None for a leaf)
+CONFIG_FIELDS = {"shift": ("lift", "orientation"), "a": None, "b": None,
+                 "space": ("alpha", "beta", "fundamental_type"),
+                 "tolerances": tuple(DEFAULT_TOLERANCES), "oracle": tuple(DEFAULT_ORACLE)}
 
 
 class ConfigError(ValueError):
@@ -40,9 +44,10 @@ def _require(cfg: dict, path: str, typ, default=None, required=False):
             raise ConfigError(f"missing required config field {path}")
         return default
     val = node[keys[-1]]
-    if typ is float and isinstance(val, int):
+    if typ is float and type(val) is int:
         val = float(val)
-    if not isinstance(val, typ):
+    # bool subclasses int, but true and false are not numbers
+    if not isinstance(val, typ) or isinstance(val, bool) != (typ is bool):
         raise ConfigError(f"config field {path} must be {typ.__name__}, got {type(val).__name__}")
     return val
 
@@ -61,7 +66,19 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _check_fields(cfg: dict):
+    """Reject any key outside CONFIG_FIELDS, so a misspelt field is not ignored."""
+    for key, val in cfg.items():
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"unknown config field {key}")
+        if isinstance(val, dict) and CONFIG_FIELDS[key]:
+            for sub in val:
+                if sub not in CONFIG_FIELDS[key]:
+                    raise ConfigError(f"unknown config field {key}.{sub}")
+
+
 def build_operator(cfg: dict) -> OperatorSpec:
+    _check_fields(cfg)
     lift = _require(cfg, "shift.lift", str, required=True)
     orientation = _require(cfg, "shift.orientation", str, default="auto")
     if orientation not in ("auto", "preserve", "reverse"):

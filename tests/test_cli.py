@@ -62,6 +62,29 @@ class TestAnalyze:
         assert code == 2
         assert "shift.lift" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        # tolerances.band is a retired field, flatt and orcale are misspelt
+        ({"tolerances": {"zero": 1e-12, "band": 0.5, "flatt": 1.0}}, "tolerances.band"),
+        ({"tolerances": {"flatt": 1e-11}}, "tolerances.flatt"),
+        ({"orcale": {"seed": 1}}, "orcale"),
+    ])
+    def test_unknown_field_exit_2(self, tmp_path, capsys, overrides, field):
+        code = cli.run(["analyze", "-c", write_config(tmp_path, **overrides)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"config error: unknown config field {field}\n"
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"space": {"alpha": True, "beta": 0.5}}, "space.alpha"),
+        ({"tolerances": {"zero": False}}, "tolerances.zero"),
+    ])
+    def test_bool_in_numeric_field_exit_2(self, tmp_path, capsys, overrides, field):
+        code = cli.run(["analyze", "-c", write_config(tmp_path, **overrides)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"config error: config field {field} must be float, got bool\n"
+
     def test_undecidable_exit_3(self, tmp_path, capsys):
         code = cli.run(["analyze", "-c", write_config(
             tmp_path, shift={"lift": "t + 0.05 - 0.05*cos(2*pi*(t-0.5))"})])
@@ -197,6 +220,18 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("config error: oracle")
+
+    @pytest.mark.parametrize("oracle, message", [
+        ({"seed": True}, "oracle.seed must be int, got bool"),
+        ({"p": True}, "oracle.p must be float, got bool"),
+    ])
+    def test_bool_in_oracle_field_exit_2(self, tmp_path, capsys, oracle, message):
+        code = cli.run(["verify", "-c", write_config(tmp_path, oracle=oracle)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
 
 
 class TestParser:

@@ -129,6 +129,40 @@ class TestEvidence:
         for r in ev.rungs:
             assert "resid" in r and "resid_adjoint" in r and "s_min_adjoint" in r
 
+    def test_one_factorisation_per_matrix(self, fixture_suite, monkeypatch):
+        calls = {"lstsq": 0, "svd": 0}
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        so.invertibility_evidence(fixture_suite["F4"][0], N_ladder=(64, 128, 256))
+        assert calls == {"lstsq": 6, "svd": 0}
+
+    def test_s_min_matches_dense_svd(self, fixture_suite):
+        ladder = (64, 128, 256)
+        for name, (op, _) in fixture_suite.items():
+            ev = so.invertibility_evidence(op, N_ladder=ladder)
+            for tag, spec in (("", op), ("_adjoint", so.adjoint_spec(op))):
+                for N, row in zip(ladder, ev.rungs):
+                    A = so.discretize(spec, N, 2.0).matrix()
+                    want = np.linalg.svd(A, compute_uv=False)[-1]
+                    if want > 1e-8:
+                        assert row[f"s_min{tag}"] == pytest.approx(want, rel=1e-6), (name, tag, N)
+
+    def test_matrix_bits_match_diag_minus_bP(self, fixture_suite):
+        # built in place, A_N keeps every bit of diag(a) - b*P, signed zeros included
+        for name, (op, _) in fixture_suite.items():
+            grid = so.discretize(op, 128, 2.0)
+            want = np.diag(grid.a_vals) - grid.b_vals[:, None] * grid.dense_P()
+            assert grid.matrix().tobytes() == want.tobytes(), name
+
     def test_ladder_validation(self, fixture_suite):
         op, _ = fixture_suite["F1"]
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
-"""The README's library quick start runs and prints what its comments show."""
+"""The README's library quick start runs and prints what its comments show,
+and its CLI config is accepted as documented."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from shiftop import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +29,17 @@ def test_quick_start_prints_its_comments():
     assert len(got) == len(expected)
     for want, line in zip(expected, got):
         assert re.fullmatch(r"\d*".join(map(re.escape, want.split("..."))), line), (want, line)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_cli_config_runs(tmp_path, command):
+    text = README.read_text(encoding="utf-8")
+    cfg = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    assert cfg["oracle"]["grids"] == [256, 512, 1024]
+    cfg["oracle"]["grids"] = [64, 128, 256]     # the same fields on a smaller ladder
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run([command, "-c", str(path)])
+    assert code == 0
+    assert json.loads(out.getvalue())["verdict"] == "right_only"
