@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import as_function, find_zeros, is_periodic, parse
-from .circle import (Arc, GammaArc, PeriodicStructure, Shift, StructureError,
+from .circle import (POINT_TOL, Arc, GammaArc, PeriodicStructure, Shift, StructureError,
                      circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
 
@@ -129,7 +129,7 @@ class GammaPartition:
     def classify(self, ps: PeriodicStructure, t) -> str:
         """Region of the point t (GAMMA1 on the Carleman part)."""
         for p, c in self.points:
-            if circle_dist(t, p) <= ps.point_tol:
+            if circle_dist(t, p) <= POINT_TOL:
                 return c.region
         if ps.in_lambda(t):
             return GAMMA1
@@ -191,19 +191,19 @@ def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> flo
     return _region_sigma_fn(op, region)(t)
 
 
-def _arc_zeros(fn, arc: Arc, tol: float = 1e-12, cells: int = 4096):
+def _arc_zeros(fn, arc: Arc):
     """Zeros of a periodic function restricted to an arc (arc coordinates)."""
-    return find_zeros(lambda x: fn(wrap(x)), arc.start, arc.end, tol=tol, cells=cells)
+    return find_zeros(lambda x: fn(wrap(x)), arc.start, arc.end)
 
 
-def _filter_near_y(hits, ps: PeriodicStructure, skip: float = 1e-10):
+def _filter_near_y(hits, ps: PeriodicStructure):
     out = []
     for h in hits:
         if h.kind == "interval":
             out.append(h)
             continue
         t = wrap(h.location)
-        if any(circle_dist(t, p) <= skip for p in ps.y):
+        if any(circle_dist(t, p) <= 1e-10 for p in ps.y):
             continue
         out.append(h)
     return out
@@ -229,10 +229,10 @@ def _coefficient_zeros(op: OperatorSpec, coeff_fn, arcs) -> tuple[list[float], b
     return zeros, suspect
 
 
-def _dedup(vals, tol: float = 1e-10) -> list[float]:
+def _dedup(vals) -> list[float]:
     out: list[float] = []
     for v in sorted(vals):
-        if out and abs(v - out[-1]) <= tol:
+        if out and abs(v - out[-1]) <= 1e-10:
             continue
         out.append(v)
     return out
@@ -255,7 +255,7 @@ def _orbit_hits(op: OperatorSpec, p: float, q: float, n_min: int) -> int | None:
     gq = ps.gamma_containing(q)
     if gq is None or not any(gq.contains(op.shift.apply(p, i)) for i in range(op.m)):
         return None
-    toward_end = circle_dist(gq.tau_plus, wrap(gq.end)) <= ps.point_tol
+    toward_end = circle_dist(gq.tau_plus, wrap(gq.end)) <= POINT_TOL
     sq = gq.offset(q)
     z = p
     for n in range(ORBIT_GUARD_RL):

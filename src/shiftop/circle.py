@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import ZeroHit, as_function, differentiate, find_zeros, parse
+from .exprlang import (FLAT_TOL, SCAN_CELLS, ZERO_TOL, ZeroHit, as_function, differentiate,
+                       find_zeros, parse)
 
 __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
@@ -33,9 +34,8 @@ __all__ = [
 
 ORBIT_GUARD = 10 ** 6
 POINT_TOL = 1e-9
-# the 4096-cell grid on which lifts are validated and periodic structure is scanned
-_CELLS = 4096
-_GRID = np.linspace(0.0, 1.0, _CELLS + 1)
+# the scan grid on which lifts are validated and periodic structure is scanned
+_GRID = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
 _M_MAX = 16   # highest multiplicity the structure scan tries
 # table nodes for inverse solves, and a step cap above the 45 halvings
 # that bisection alone needs to narrow a 1/256 cell to one ulp
@@ -88,9 +88,9 @@ class Arc:
         """Positive offset of t from start, in [0, 1)."""
         return wrap(t - self.start)
 
-    def contains(self, t, tol: float = 0.0) -> bool:
+    def contains(self, t) -> bool:
         off = self.offset(t)
-        return tol < off < self.length - tol or (tol == 0.0 and off == 0.0 and self.length == 1.0)
+        return 0.0 < off < self.length or (off == 0.0 and self.length == 1.0)
 
     def midpoint(self) -> float:
         return float(wrap(self.start + 0.5 * self.length))
@@ -286,7 +286,6 @@ class PeriodicStructure:
     gamma: tuple[GammaArc, ...]
     yprime: tuple[float, ...] = ()
     uncertain: bool = False
-    point_tol: float = POINT_TOL
 
     @property
     def full_circle(self) -> bool:
@@ -306,8 +305,7 @@ class PeriodicStructure:
         ends = [p for a in self.lambda_arcs for p in (a.start, wrap(a.end))]
         return tuple(sorted(set(self.lambda_points) | set(ends)))
 
-    def in_lambda(self, t, tol: float | None = None) -> bool:
-        tol = self.point_tol if tol is None else tol
+    def in_lambda(self, t, tol: float = POINT_TOL) -> bool:
         if self.full_circle:
             return True
         for p in self.lambda_points:
@@ -353,7 +351,7 @@ def _periodic_branches(shift: Shift, m_max: int = _M_MAX) -> tuple[int, list[int
         u = y - _GRID
         umin, umax = float(np.min(u)), float(np.max(u))
         for i in (int(np.argmin(u)), int(np.argmax(u))):
-            fine = np.linspace(_GRID[max(i - 1, 0)], _GRID[min(i + 1, _CELLS)], 65)
+            fine = np.linspace(_GRID[max(i - 1, 0)], _GRID[min(i + 1, SCAN_CELLS)], 65)
             yf = fine
             for _ in range(j):
                 yf = shift.lift_ext(yf)
@@ -371,8 +369,8 @@ def detect_orientation_and_multiplicity(shift: Shift, m_max: int = _M_MAX) -> tu
     return shift.orientation, _periodic_branches(shift, m_max)[0]
 
 
-def compute_periodic_structure(shift: Shift, tol: float = 1e-12,
-                               flat_tol: float = 1e-11) -> PeriodicStructure:
+def compute_periodic_structure(shift: Shift, tol: float = ZERO_TOL,
+                               flat_tol: float = FLAT_TOL) -> PeriodicStructure:
     """Detect the fixed-point set of alpha_m and decompose the circle.
 
     Tangential (suspect) fixed-point zeros mark the structure uncertain;
@@ -389,8 +387,7 @@ def compute_periodic_structure(shift: Shift, tol: float = 1e-12,
 
     found: list[tuple[int, list[ZeroHit]]] = []
     for n in branches:
-        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0, tol=tol, cells=_CELLS,
-                          flat_tol=flat_tol)
+        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0, tol=tol, flat_tol=flat_tol)
         if hits:
             found.append((n, hits))
     if not found:

@@ -9,38 +9,45 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import exprlang
 from .circle import Shift, StructureError, compute_periodic_structure
 from .indices import lebesgue, space_indices
 from .analysis import OperatorSpec, decide, operator_spec
-from .spectrum import radius_bound, shift_spectrum, spectrum_to_csv
-from .oracle import invertibility_evidence
+from .spectrum import SAMPLES, radius_bound, shift_spectrum, spectrum_to_csv
+from .oracle import DEFAULT_LADDER, DEFAULT_P, DEFAULT_SEED, invertibility_evidence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNDECIDABLE = 3
 
-DEFAULT_TOLERANCES = {"zero": 1e-12, "flat": 1e-11}
-DEFAULT_ORACLE = {"grids": [256, 512, 1024], "p": 2.0, "seed": 0x5EED}
-# every config field: top-level key -> its sub-keys (None for a leaf)
-CONFIG_FIELDS = {"shift": ("lift", "orientation"), "a": None, "b": None,
-                 "space": ("alpha", "beta", "fundamental_type"),
-                 "tolerances": tuple(DEFAULT_TOLERANCES), "oracle": tuple(DEFAULT_ORACLE)}
+# every config field: dotted path -> (type, default); a None default marks it required
+CONFIG_FIELDS = {
+    "shift.lift": (str, None), "shift.orientation": (str, "auto"),
+    "a": (str, None), "b": (str, None),
+    "space.alpha": (float, None), "space.beta": (float, None),
+    "space.fundamental_type": (bool, True),
+    "tolerances.zero": (float, exprlang.ZERO_TOL), "tolerances.flat": (float, exprlang.FLAT_TOL),
+    "oracle.grids": (list, DEFAULT_LADDER), "oracle.p": (float, DEFAULT_P),
+    "oracle.seed": (int, DEFAULT_SEED),
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, path: str, typ, default=None, required=False):
+def _require(cfg: dict, path: str):
+    """The config's value at path, checked against CONFIG_FIELDS."""
+    typ, default = CONFIG_FIELDS[path]
     node = cfg
     keys = path.split(".")
     for k in keys[:-1]:
         node = node.get(k, {}) if isinstance(node, dict) else {}
     if not isinstance(node, dict) or keys[-1] not in node:
-        if required:
+        if default is None:
             raise ConfigError(f"missing required config field {path}")
         return default
     val = node[keys[-1]]
@@ -68,28 +75,29 @@ def load_config(path: str) -> dict:
 
 def _check_fields(cfg: dict):
     """Reject any key outside CONFIG_FIELDS, so a misspelt field is not ignored."""
+    sections = {path.split(".")[0] for path in CONFIG_FIELDS}
     for key, val in cfg.items():
-        if key not in CONFIG_FIELDS:
+        if key not in sections:
             raise ConfigError(f"unknown config field {key}")
-        if isinstance(val, dict) and CONFIG_FIELDS[key]:
+        if isinstance(val, dict) and key not in CONFIG_FIELDS:
             for sub in val:
-                if sub not in CONFIG_FIELDS[key]:
+                if f"{key}.{sub}" not in CONFIG_FIELDS:
                     raise ConfigError(f"unknown config field {key}.{sub}")
 
 
 def build_operator(cfg: dict) -> OperatorSpec:
     _check_fields(cfg)
-    lift = _require(cfg, "shift.lift", str, required=True)
-    orientation = _require(cfg, "shift.orientation", str, default="auto")
+    lift = _require(cfg, "shift.lift")
+    orientation = _require(cfg, "shift.orientation")
     if orientation not in ("auto", "preserve", "reverse"):
         raise ConfigError("shift.orientation must be one of auto|preserve|reverse")
-    a_text = _require(cfg, "a", str, required=True)
-    b_text = _require(cfg, "b", str, required=True)
-    alpha = _require(cfg, "space.alpha", float, required=True)
-    beta = _require(cfg, "space.beta", float, required=True)
-    fundamental = _require(cfg, "space.fundamental_type", bool, default=True)
-    tol_zero = _require(cfg, "tolerances.zero", float, default=DEFAULT_TOLERANCES["zero"])
-    tol_flat = _require(cfg, "tolerances.flat", float, default=DEFAULT_TOLERANCES["flat"])
+    a_text = _require(cfg, "a")
+    b_text = _require(cfg, "b")
+    alpha = _require(cfg, "space.alpha")
+    beta = _require(cfg, "space.beta")
+    fundamental = _require(cfg, "space.fundamental_type")
+    tol_zero = _require(cfg, "tolerances.zero")
+    tol_flat = _require(cfg, "tolerances.flat")
 
     try:
         shift = Shift.from_lift(lift, orientation=orientation)
@@ -114,13 +122,13 @@ def build_operator(cfg: dict) -> OperatorSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _round_floats(obj, digits: int = 12):
+def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -167,44 +175,41 @@ def cmd_decompose(args) -> int:
     return EXIT_UNDECIDABLE if op.structure.uncertain else EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    op = build_operator(load_config(args.config))
+@contextmanager
+def _weight_errors():
+    """An expression error names --weight; any other ValueError is a config error."""
     try:
-        weight = exprlang.parse(args.weight)
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"--weight: {exc}") from exc
-    try:
-        ss = shift_spectrum(weight, op.shift, op.structure, op.space,
-                            samples=args.samples)
+        yield
     except exprlang.ExprError as exc:
         raise ConfigError(f"--weight: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def cmd_spectrum(args) -> int:
+    op = build_operator(load_config(args.config))
+    with _weight_errors():
+        ss = shift_spectrum(exprlang.parse(args.weight), op.shift, op.structure, op.space,
+                            samples=args.samples)
     _emit(spectrum_to_csv(ss), args.output)
     return EXIT_OK
 
 
 def cmd_radius(args) -> int:
     op = build_operator(load_config(args.config))
-    try:
+    with _weight_errors():
         weight = exprlang.parse(args.weight)
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"--weight: {exc}") from exc
     try:
         lp = lebesgue(args.p)
     except ValueError as exc:
         raise ConfigError(f"--p: {exc}") from exc
-    try:
+    with _weight_errors():
         payload = {
             "p": args.p,
             "radius_lebesgue": radius_bound(weight, op.shift, op.structure, lp),
             "radius_bound": radius_bound(weight, op.shift, op.structure, op.space),
             "indices": {"alpha": op.space.alpha, "beta": op.space.beta},
         }
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"--weight: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _emit(dump_json(payload), args.output)
     return EXIT_OK
 
@@ -213,9 +218,9 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     op = build_operator(cfg)
     report = decide(op)
-    grids = _require(cfg, "oracle.grids", list, default=DEFAULT_ORACLE["grids"])
-    p = _require(cfg, "oracle.p", float, default=DEFAULT_ORACLE["p"])
-    seed = _require(cfg, "oracle.seed", int, default=DEFAULT_ORACLE["seed"])
+    grids = _require(cfg, "oracle.grids")
+    p = _require(cfg, "oracle.p")
+    seed = _require(cfg, "oracle.seed")
     if not all(type(n) is int for n in grids):
         raise ConfigError("oracle.grids must be a list of int")
     try:
@@ -258,7 +263,7 @@ def make_parser() -> argparse.ArgumentParser:
     add("decompose", cmd_decompose)
     add("spectrum", cmd_spectrum,
         **{"--weight": {"required": True, "help": "weight expression"},
-           "--samples": {"type": int, "default": 512}})
+           "--samples": {"type": int, "default": SAMPLES}})
     add("radius", cmd_radius,
         **{"--weight": {"required": True, "help": "weight expression"},
            "--p": {"type": float, "default": 2.0}})

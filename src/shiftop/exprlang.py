@@ -34,6 +34,12 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
 
+# find_zeros' defaults, shared by every zero and periodic-structure scan and
+# by the CLI's tolerances block: bisection width, flat band, grid cells
+ZERO_TOL = 1e-12
+FLAT_TOL = 1e-11
+SCAN_CELLS = 4096
+
 
 class ExprError(ValueError):
     """Base class for expression errors."""
@@ -442,11 +448,11 @@ def differentiate(e: Expr) -> Expr:
     raise ExprError(f"malformed node {e!r}")
 
 
-def is_periodic(e, tol: float = 1e-9) -> bool:
-    """Numeric 1-periodicity check: |f(0) - f(1)| <= tol*(1+|f(0)|)."""
+def is_periodic(e) -> bool:
+    """Numeric 1-periodicity check: |f(0) - f(1)| <= 1e-9*(1+|f(0)|)."""
     fn = as_function(e)
     f0, f1 = float(fn(0.0)), float(fn(1.0))
-    return abs(f0 - f1) <= tol * (1.0 + abs(f0))
+    return abs(f0 - f1) <= 1e-9 * (1.0 + abs(f0))
 
 
 @dataclass(frozen=True)
@@ -465,9 +471,9 @@ class ZeroHit:
     hi: float | None = None
     suspect: bool = False
 
-    def certain(self, scale: float = 1.0) -> bool:
+    def certain(self) -> bool:
         """Whether the hit is definitely a zero (vs an ambiguous near-zero dip)."""
-        return self.kind != "tangential" or abs(self.value) <= 64 * np.finfo(float).eps * scale
+        return self.kind != "tangential" or abs(self.value) <= 64 * np.finfo(float).eps
 
 
 def zero_points(hits) -> list[float]:
@@ -508,8 +514,8 @@ def _refine_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, abs(fn(x))
 
 
-def find_zeros(e, lo: float, hi: float, tol: float = 1e-12,
-               cells: int = 4096, flat_tol: float = 1e-11) -> list[ZeroHit]:
+def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
+               cells: int = SCAN_CELLS, flat_tol: float = FLAT_TOL) -> list[ZeroHit]:
     """Locate zeros of e on the half-open interval [lo, hi).
 
     Grid scan (``cells`` cells) plus bisection of sign changes to ``tol``;

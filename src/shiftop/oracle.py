@@ -25,6 +25,9 @@ __all__ = ["GridOperator", "discretize", "weighted_shift_grid",
            "EvidenceRecord", "invertibility_evidence",
            "NeumannResult", "neumann_apply"]
 
+# the defaults of every oracle entry point and of the CLI's oracle block
+DEFAULT_LADDER = (256, 512, 1024)
+DEFAULT_P = 2.0
 DEFAULT_SEED = 0x5EED
 SMIN_FLOOR = 1e-10
 
@@ -151,30 +154,22 @@ def _saturation_window(N: int, deriv: np.ndarray, k_cap: int = 24) -> int:
     return int(np.clip(np.log(N / 8.0) / np.log(kappa), 1, k_cap))
 
 
-def _windowed_gelfand(grid: GridOperator, k_max: int,
-                      rng: np.random.Generator) -> tuple[float, list[float]]:
+def _windowed_gelfand(grid: GridOperator, k_max: int, rng: np.random.Generator) -> float:
     """Geometric mean of ||M^K||/||M^{K-1}|| over the pre-saturation prefix."""
     s = [_smax_power(grid, K, 60, rng) for K in range(1, k_max + 2)]
     ratios = [s[i] / s[i - 1] if s[i - 1] > 0 else 0.0 for i in range(1, len(s))]
-    if not ratios:
-        return s[0], []
     window = [ratios[0]]
     for r_prev, r_next in zip(ratios, ratios[1:]):
         if r_prev <= 0.0 or r_next < 0.97 * r_prev:
             break
         window.append(r_next)
     positive = [r for r in window if r > 0.0]
-    est = float(np.exp(np.mean(np.log(positive)))) if positive else 0.0
-    return est, window
+    return float(np.exp(np.mean(np.log(positive)))) if positive else 0.0
 
 
 @dataclass(frozen=True)
 class RadiusEstimate:
     estimate: float
-    window_ratios: tuple[float, ...]
-    long_run: float
-    final_ratio: float
-    last10_spread: float
 
 
 def estimate_radius_numeric(grid: GridOperator, iters: int = 200,
@@ -199,29 +194,24 @@ def estimate_radius_numeric(grid: GridOperator, iters: int = 200,
         raise ValueError("iters must be >= 50")
     rng = np.random.default_rng(seed)
     k_max = _saturation_window(grid.N, grid.alpha_deriv)
-    window_est, window = _windowed_gelfand(grid, k_max, rng)
+    window_est = _windowed_gelfand(grid, k_max, rng)
 
     v = rng.standard_normal(grid.N)
     v /= np.linalg.norm(v)
     log_prod = 0.0
-    tail: list[float] = []
-    steps = 0
+    dead = False
     for _ in range(iters):
         w = grid.apply(v)
         r = float(np.linalg.norm(w))
-        tail.append(r)
         if r == 0.0:
+            dead = True
             break
         log_prod += np.log(r)
-        steps += 1
         v = w / r
-    dead = len(tail) > steps
-    long_run = 0.0 if dead else float(np.exp(log_prod / max(steps, 1)))
+    long_run = 0.0 if dead else float(np.exp(log_prod / iters))
 
     estimate = long_run if long_run < 0.25 * window_est else window_est
-    last10 = tail[-10:] if tail else [0.0]
-    return RadiusEstimate(estimate, tuple(window), long_run, tail[-1],
-                          float(max(last10) - min(last10)))
+    return RadiusEstimate(estimate)
 
 
 @dataclass(frozen=True)
@@ -256,8 +246,8 @@ def _section(spec: OperatorSpec, N: int, p: float, seed: int, tag: str = "") -> 
             f"x_norm{tag}": float(np.linalg.norm(x) / nf)}
 
 
-def invertibility_evidence(op: OperatorSpec, N_ladder=(256, 512, 1024),
-                           p: float = 2.0, seed: int = DEFAULT_SEED,
+def invertibility_evidence(op: OperatorSpec, N_ladder=DEFAULT_LADDER,
+                           p: float = DEFAULT_P, seed: int = DEFAULT_SEED,
                            verdict: str | None = None) -> EvidenceRecord:
     """Singular-value and least-squares-residual ladder for A and its adjoint.
 
@@ -298,14 +288,12 @@ def invertibility_evidence(op: OperatorSpec, N_ladder=(256, 512, 1024),
 @dataclass(frozen=True)
 class NeumannResult:
     residual: float
-    terms: int
     branch: str                 # "dominant-a" or "dominant-b"
     measured_ratio: float
     radius_bound: float
-    smax_history: tuple[float, ...]
 
 
-def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = 2.0,
+def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = DEFAULT_P,
                   seed: int = DEFAULT_SEED) -> NeumannResult:
     """Truncated Neumann inverse on the grid, applied to f.
 
@@ -353,6 +341,5 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = 2.0,
 
     k_geo = max(_saturation_window(N, C.alpha_deriv, k_cap=12), 2)
     rng = np.random.default_rng(seed)
-    measured, window = _windowed_gelfand(C, k_geo, rng)
-    return NeumannResult(float(residual), terms, branch, float(measured),
-                         float(rbound), tuple(window))
+    measured = _windowed_gelfand(C, k_geo, rng)
+    return NeumannResult(float(residual), branch, float(measured), float(rbound))

@@ -23,6 +23,7 @@ __all__ = ["Annulus", "SpectrumSet", "radius_bound",
 
 GC_THRESHOLD = 1e-10
 ARC_SAMPLES = 256
+SAMPLES = 512   # shift_spectrum's samples per arc, and the CLI's --samples default
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class SpectrumSet:
     raw_annuli: tuple[Annulus, ...]         # one per component / Y' point
     curve_samples: tuple[complex, ...]
     curve_values: tuple[tuple[complex, ...], ...]
-    tol: float = 1e-9
 
     @property
     def curve_resolution(self) -> float:
@@ -97,13 +97,13 @@ def _delta_Delta(d_m, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, 
     return dm * lo, dm * hi
 
 
-def _merge(annuli: list[Annulus], tol: float = 1e-12) -> tuple[Annulus, ...]:
+def _merge(annuli: list[Annulus]) -> tuple[Annulus, ...]:
     if not annuli:
         return ()
     srt = sorted(annuli, key=lambda a: (a.r_in, a.r_out))
     out = [srt[0]]
     for a in srt[1:]:
-        if a.r_in <= out[-1].r_out + tol:
+        if a.r_in <= out[-1].r_out + 1e-12:
             out[-1] = Annulus(out[-1].r_in, max(out[-1].r_out, a.r_out))
         else:
             out.append(a)
@@ -111,7 +111,7 @@ def _merge(annuli: list[Annulus], tol: float = 1e-12) -> tuple[Annulus, ...]:
 
 
 def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
-                   x: SpaceIndices, samples: int = 512) -> SpectrumSet:
+                   x: SpaceIndices, samples: int = SAMPLES) -> SpectrumSet:
     """Spectrum of d*W: curve part {z : z^m = d_m(t)} over the Carleman
     region, one annulus (or disk, when d_m vanishes on the closure) per
     moving component, and one annulus per declared Y' point."""
@@ -174,14 +174,14 @@ def one_sided_core_annuli(shift: Shift, arc: GammaArc,
                  for tau in (arc.tau_minus, arc.tau_plus))
 
 
-def spectrum_contains(ss: SpectrumSet, z: complex, tol: float | None = None) -> str:
+def spectrum_contains(ss: SpectrumSet, z: complex) -> str:
     """Membership query: "inside", "boundary", or "outside".
 
-    Annuli are tested exactly on |z| with a tol band at the radii; curve
+    Annuli are tested exactly on |z| with a 1e-9 band at the radii; curve
     parts are tested by nearest-sample distance of z^m, which is resolution
     limited by construction.
     """
-    tol = ss.tol if tol is None else tol
+    tol = 1e-9
     r = abs(z)
     boundary = False
     for a in ss.annuli:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from shiftop import cli
+from shiftop.oracle import invertibility_evidence
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -92,6 +93,16 @@ class TestAnalyze:
         assert out["verdict"] == "undecidable"
         assert code == 3
 
+    def test_default_tolerances_written_out(self, tmp_path, capsys):
+        # fixed points off the scan grid, so tolerances.zero shows in the bytes
+        shift = {"lift": "t+0.1*sin(2*pi*(t-0.123))"}
+        outs = []
+        for tolerances in ({}, {"tolerances": {"zero": 1e-12, "flat": 1e-11}}):
+            code = cli.run(["analyze", "-c", write_config(tmp_path, shift=shift, **tolerances)])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         out1 = tmp_path / "r1.json"
@@ -99,6 +110,54 @@ class TestAnalyze:
         assert cli.run(["analyze", "-c", cfg, "-o", str(out1)]) == 0
         assert cli.run(["analyze", "-c", cfg, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def config_with(tmp_path, path, value=None):
+    """The write_config config with the dotted path set to value (removed for None)."""
+    cfg = json.loads(Path(write_config(tmp_path)).read_text(encoding="utf-8"))
+    *parents, leaf = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is None:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = value
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(out)
+
+
+def run_error(argv, capsys):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+class TestConfigTable:
+    # only verify reads the oracle block, so only verify checks it
+    @pytest.mark.parametrize("path", sorted(cli.CONFIG_FIELDS))
+    def test_wrong_type_exit_2(self, tmp_path, capsys, path):
+        typ = cli.CONFIG_FIELDS[path][0]
+        value = 1.5 if typ is str else "x"
+        command = "verify" if path.startswith("oracle.") else "analyze"
+        err = run_error([command, "-c", config_with(tmp_path, path, value)], capsys)
+        got = type(value).__name__
+        assert err == f"config error: config field {path} must be {typ.__name__}, got {got}\n"
+
+    @pytest.mark.parametrize("path", sorted(p for p, (_, default) in cli.CONFIG_FIELDS.items()
+                                            if default is None))
+    def test_missing_required_exit_2(self, tmp_path, capsys, path):
+        err = run_error(["analyze", "-c", config_with(tmp_path, path)], capsys)
+        assert err == f"config error: missing required config field {path}\n"
+
+    @pytest.mark.parametrize("section", sorted({p.split(".")[0] for p in cli.CONFIG_FIELDS
+                                                if "." in p}))
+    def test_unknown_subkey_exit_2(self, tmp_path, capsys, section):
+        err = run_error(["analyze", "-c", config_with(tmp_path, f"{section}.bogus", 1)], capsys)
+        assert err == f"config error: unknown config field {section}.bogus\n"
 
 
 class TestDecompose:
@@ -207,6 +266,15 @@ class TestVerify:
         assert code == 0
         assert out["verdict"] == "right_only"
         assert out["agreement"] == "not_tested"
+
+    def test_default_oracle_is_evidence_default(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = cli.run(["verify", "-c", cfg])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        op = cli.build_operator(cli.load_config(cfg))
+        evidence = invertibility_evidence(op, verdict=out["verdict"])
+        assert out["evidence"] == json.loads(cli.dump_json(evidence.to_dict()))
 
     @pytest.mark.parametrize("oracle", [
         {"grids": [100, 200, 400]},
