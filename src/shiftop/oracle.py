@@ -6,16 +6,22 @@ one lstsq per matrix as invertibility evidence, and truncated Neumann
 inverses with measured decay ratios.  Everything here is evidence, not proof.
 
 One ``GridOperator`` serves all three: A_N itself, the weighted shift g*W
-(a = 0, b = -g), and the Neumann iterate (b/a)*W or (a/b)*W^{-1}.
+(a = 0, b = -g), and the Neumann iterate (b/a)*W or (a/b)*W^{-1}.  It is
+matrix-free: the 4-point stencil is stored slot-major, so each product is
+one gather and one contraction, with -b folded into the weights of
+``apply`` once per grid and the a*v term dropped where a = 0.  Only the
+invertibility ladder builds the dense matrix.  Coefficients and right-hand
+sides must be finite at the grid nodes (``EvalDomainError`` otherwise).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exprlang import as_function
+from .exprlang import as_function, check_finite
 from .circle import Shift, wrap
 from .analysis import OperatorSpec, adjoint_spec, eta_values
 from .spectrum import radius_bound
@@ -33,16 +39,16 @@ SMIN_FLOOR = 1e-10
 
 
 def _lagrange_stencil(positions: np.ndarray, N: int):
-    """4-point periodic Lagrange interpolation stencil at circle positions."""
+    """4-point periodic Lagrange interpolation stencil at circle positions,
+    slot-major: position i takes weight w[k, i] from node idx[k, i]."""
     x = wrap(positions) * N
     j0 = np.floor(x).astype(int)
     u = x - j0
-    w = np.empty((len(x), 4))
-    w[:, 0] = -u * (u - 1.0) * (u - 2.0) / 6.0
-    w[:, 1] = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-    w[:, 2] = -(u + 1.0) * u * (u - 2.0) / 2.0
-    w[:, 3] = (u + 1.0) * u * (u - 1.0) / 6.0
-    idx = np.stack([(j0 + off) % N for off in (-1, 0, 1, 2)], axis=1)
+    w = np.stack([-u * (u - 1.0) * (u - 2.0) / 6.0,
+                  (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0,
+                  -(u + 1.0) * u * (u - 2.0) / 2.0,
+                  (u + 1.0) * u * (u - 1.0) / 6.0])
+    idx = np.stack([(j0 + off) % N for off in (-1, 0, 1, 2)])
     return idx, w
 
 
@@ -51,7 +57,12 @@ class GridOperator:
     """A_N = diag(a) - diag(b) P on the N-point uniform grid.
 
     P interpolates f at alpha(t_i) with a 4-point periodic Lagrange
-    stencil; norms are the weighted discrete p-norm with weights 1/N.
+    stencil, stored slot-major as (4, N) arrays: row i of P holds the
+    weights wts[:, i] in the columns idx[:, i].  Every product is one
+    gather v[idx] and one contraction over the 4 slots (a transpose is one
+    bincount), and goes through exactly one of apply, apply_P and
+    apply_P_transpose.  Norms are the weighted discrete p-norm with
+    weights 1/N.
     """
 
     N: int
@@ -64,22 +75,34 @@ class GridOperator:
     alpha_deriv: np.ndarray
     _dense: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        # a = 0 on every weighted shift and Neumann iterate: no a*v term there
+        self._has_a = bool(np.any(self.a_vals))
+        self._neg_b = -self.b_vals
+        self._neg_bw = self._neg_b * self.wts     # apply's weights: -b folded into P
+
     def apply_P(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ik,ik->i", self.wts, v[self.idx])
+        return np.einsum("ki,ki->i", self.wts, v[self.idx])
 
     def apply_P_transpose(self, v: np.ndarray) -> np.ndarray:
-        return np.bincount(self.idx.ravel(), weights=(self.wts * v[:, None]).ravel(),
+        return np.bincount(self.idx.ravel(), weights=(self.wts * v).ravel(),
                            minlength=self.N)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.a_vals * v - self.b_vals * self.apply_P(v)
+        out = np.einsum("ki,ki->i", self._neg_bw, v[self.idx])
+        if self._has_a:
+            out += self.a_vals * v
+        return out
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self.a_vals * v - self.apply_P_transpose(self.b_vals * v)
+        out = self.apply_P_transpose(self._neg_b * v)
+        if self._has_a:
+            out += self.a_vals * v
+        return out
 
     def dense_P(self) -> np.ndarray:
         P = np.zeros((self.N, self.N))
-        np.add.at(P, (np.arange(self.N)[:, None], self.idx), self.wts)
+        np.add.at(P, (np.arange(self.N), self.idx), self.wts)
         return P
 
     def matrix(self) -> np.ndarray:
@@ -103,31 +126,43 @@ def _validate_grid(N: int, p: float):
         raise ValueError("p must satisfy 1 < p < inf")
 
 
-def _grid(shift: Shift, a, b, N: int, p: float) -> GridOperator:
-    """Grid operator of a*I - b*W for the shift; a and b map nodes to values."""
+def _at_nodes(e, nodes: np.ndarray) -> np.ndarray:
+    """An Expr or callable at the grid nodes; EvalDomainError where not finite."""
+    vals = as_function(e)(nodes)
+    check_finite(e, nodes, vals)
+    return vals
+
+
+def _grid(shift: Shift, a, b, N: int, p: float, weighted_shift: bool = False) -> GridOperator:
+    """Grid operator of a*I - b*W for the shift; a and b are Exprs or
+    callables, checked finite at the nodes.  With weighted_shift, b is the
+    weight g of g*W, i.e. a = 0 and b = -g (a is then unused)."""
     _validate_grid(N, p)
     nodes = np.arange(N) / N
+    if weighted_shift:
+        a_vals, b_vals = np.zeros(N), -_at_nodes(b, nodes)
+    else:
+        a_vals, b_vals = _at_nodes(a, nodes), _at_nodes(b, nodes)
     idx, wts = _lagrange_stencil(shift(nodes), N)
-    return GridOperator(N, p, nodes, a(nodes), b(nodes), idx, wts,
+    return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts,
                         np.abs(shift.deriv(nodes)))
 
 
 def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
     """Collocation of A = a*I - b*W on the N-point grid."""
-    return _grid(op.shift, as_function(op.a), as_function(op.b), N, p)
+    return _grid(op.shift, op.a, op.b, N, p)
 
 
 def weighted_shift_grid(g, shift: Shift, N: int, p: float) -> GridOperator:
     """Grid operator for g*W (the a = 0, b = -g variant of A)."""
-    g_fn = as_function(g)
-    return _grid(shift, np.zeros_like, lambda t: -g_fn(t), N, p)
+    return _grid(shift, None, g, N, p, weighted_shift=True)
 
 
 def _smax_power(grid: GridOperator, K: int, iters: int,
                 rng: np.random.Generator) -> float:
     """Largest singular value of M^K via power iteration on (M^K)^T M^K."""
     v = rng.standard_normal(grid.N)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
     s = 0.0
     for _ in range(iters):
         w = v
@@ -136,10 +171,10 @@ def _smax_power(grid: GridOperator, K: int, iters: int,
         u = w
         for _ in range(K):
             u = grid.apply_transpose(u)
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u @ u)
         if nu == 0.0:
             return 0.0
-        s_new = float(np.linalg.norm(w))
+        s_new = math.sqrt(w @ w)
         v = u / nu
         if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
             return s_new
@@ -172,8 +207,7 @@ class RadiusEstimate:
     estimate: float
 
 
-def estimate_radius_numeric(grid: GridOperator, iters: int = 200,
-                            seed: int = DEFAULT_SEED) -> RadiusEstimate:
+def estimate_radius_numeric(grid: GridOperator, iters: int = 200) -> RadiusEstimate:
     """Spectral-radius estimate for a weighted shift grid operator.
 
     The discrete matrix loses operator-norm growth once concentrating
@@ -192,23 +226,23 @@ def estimate_radius_numeric(grid: GridOperator, iters: int = 200,
     """
     if iters < 50:
         raise ValueError("iters must be >= 50")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     k_max = _saturation_window(grid.N, grid.alpha_deriv)
     window_est = _windowed_gelfand(grid, k_max, rng)
 
     v = rng.standard_normal(grid.N)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
     log_prod = 0.0
     dead = False
     for _ in range(iters):
         w = grid.apply(v)
-        r = float(np.linalg.norm(w))
+        r = math.sqrt(w @ w)
         if r == 0.0:
             dead = True
             break
-        log_prod += np.log(r)
+        log_prod += math.log(r)
         v = w / r
-    long_run = 0.0 if dead else float(np.exp(log_prod / iters))
+    long_run = 0.0 if dead else math.exp(log_prod / iters)
 
     estimate = long_run if long_run < 0.25 * window_est else window_est
     return RadiusEstimate(estimate)
@@ -293,8 +327,7 @@ class NeumannResult:
     radius_bound: float
 
 
-def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = DEFAULT_P,
-                  seed: int = DEFAULT_SEED) -> NeumannResult:
+def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
     """Truncated Neumann inverse on the grid, applied to f.
 
     dominant-a branch (eta1 > 0 everywhere):
@@ -302,7 +335,8 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = DEFAULT_P,
     dominant-b branch (eta0 < 0 everywhere):
         A^{-1} = -W^{-1} sum_n (b^{-1} a W^{-1})^n b^{-1}.
 
-    Returns the relative residual ||A S_K f - f||_p / ||f||_p together with
+    Returns the relative residual ||A S_K f - f||_p / ||f||_p (p = DEFAULT_P;
+    f must be finite at the grid nodes) together with
     the measured geometric decay ratio of the truncation error (operator
     norm over the pre-saturation window) and the spectral-radius bound of
     the iterated operator it should track.
@@ -317,15 +351,15 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = DEFAULT_P,
         raise ValueError("Neumann form not available: neither eta1 > 0 nor "
                          "eta0 < 0 holds on the whole curve")
 
-    grid = discretize(op, N, p)
-    f_vals = as_function(f)(grid.nodes)
+    grid = discretize(op, N, DEFAULT_P)
+    f_vals = _at_nodes(f, grid.nodes)
     a_fn, b_fn = as_function(op.a), as_function(op.b)
     if branch == "dominant-a":
         iter_shift, num, den = op.shift, b_fn, a_fn
     else:
         iter_shift, num, den = op.shift.inverse(), a_fn, b_fn
     iter_weight = lambda t: num(t) / den(t)
-    C = weighted_shift_grid(iter_weight, iter_shift, N, p)
+    C = weighted_shift_grid(iter_weight, iter_shift, N, DEFAULT_P)
 
     acc = np.zeros(N)
     term = f_vals / den(grid.nodes)
@@ -340,6 +374,5 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int, p: float = DEFAULT_P,
               if op.structure.m == 1 else float("nan"))
 
     k_geo = max(_saturation_window(N, C.alpha_deriv, k_cap=12), 2)
-    rng = np.random.default_rng(seed)
-    measured = _windowed_gelfand(C, k_geo, rng)
+    measured = _windowed_gelfand(C, k_geo, np.random.default_rng(DEFAULT_SEED))
     return NeumannResult(float(residual), branch, float(measured), float(rbound))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import shiftop as so
-from shiftop.oracle import DEFAULT_SEED
 from conftest import RADIUS_S1_P2
 
 
@@ -34,7 +33,7 @@ class TestDiscretize:
     def test_rows_sum_to_one(self, s1, s1_structure, idx):
         op = so.operator_spec("2", "1", s1, idx, structure=s1_structure)
         grid = so.discretize(op, 256, 2.0)
-        assert np.abs(grid.wts.sum(axis=1) - 1.0).max() < 1e-10
+        assert np.abs(grid.wts.sum(axis=0) - 1.0).max() < 1e-10
 
     def test_interpolation_order(self, s1, s1_structure, idx):
         op = so.operator_spec("2", "1", s1, idx, structure=s1_structure)
@@ -57,22 +56,87 @@ class TestDiscretize:
             so.discretize(op, 256, 1.0)
 
 
+# perfbench's six lifts: three with fixed points (S1 first), the half
+# rotation, the reflection and the identity
+LIFTS = ("t+0.1*sin(2*pi*t)", "t+0.05*sin(4*pi*t)", "t+0.03+0.1*sin(2*pi*t)",
+         "t+0.5", "1-t", "t")
+
+
+def _grids(lift, N):
+    """The two stencil paths: discretize (a != 0) and weighted_shift_grid (a = 0)."""
+    shift = so.Shift.from_lift(lift)
+    op = so.operator_spec("2+cos(2*pi*t)", "1+0.5*sin(2*pi*t)", shift, so.lebesgue(2.0))
+    return (so.discretize(op, N, 2.0),
+            so.weighted_shift_grid(so.parse("1+0.5*cos(2*pi*t)"), shift, N, 2.0))
+
+
 class TestTranspose:
+    @pytest.mark.parametrize("N", [64, 1024])
+    @pytest.mark.parametrize("lift", LIFTS)
+    def test_adjoint_identity(self, N, lift):
+        # <A v, u> = <v, A^T u>, relative to the Cauchy-Schwarz size |A v| |u|
+        rng = np.random.default_rng(N)
+        for grid in _grids(lift, N):
+            v, u = rng.standard_normal(N), rng.standard_normal(N)
+            for fwd, bwd in ((grid.apply, grid.apply_transpose),
+                             (grid.apply_P, grid.apply_P_transpose)):
+                Av = fwd(v)
+                scale = np.linalg.norm(Av) * np.linalg.norm(u)
+                assert abs(Av @ u - v @ bwd(u)) <= 1e-12 * scale, (lift, fwd.__name__)
+
     @pytest.mark.parametrize("N", [64, 256])
-    @pytest.mark.parametrize("lift", ["t+0.1*sin(2*pi*t)", "1-t", "t+0.5"])
-    def test_matches_dense(self, idx, N, lift):
-        shift = so.Shift.from_lift(lift)
-        op = so.operator_spec("2+cos(2*pi*t)", "1+0.5*sin(2*pi*t)", shift, idx)
-        grid = so.discretize(op, N, 2.0)
+    @pytest.mark.parametrize("lift", LIFTS)
+    def test_matches_dense(self, N, lift):
         v = np.random.default_rng(N).standard_normal(N)
-        assert np.allclose(grid.apply_P_transpose(v), grid.dense_P().T @ v,
-                           rtol=0, atol=1e-12)
-        assert np.allclose(grid.apply_transpose(v), grid.matrix().T @ v,
-                           rtol=0, atol=1e-12)
+        for grid in _grids(lift, N):
+            P, A = grid.dense_P(), grid.matrix()
+            for got, want in ((grid.apply_P(v), P @ v), (grid.apply_P_transpose(v), P.T @ v),
+                              (grid.apply(v), A @ v), (grid.apply_transpose(v), A.T @ v)):
+                assert np.allclose(got, want, rtol=0, atol=1e-12), lift
+
+    def test_weighted_shift_is_g_times_P(self, s1):
         g = lambda t: 1.0 + np.sin(np.pi * t)
-        wgrid = so.weighted_shift_grid(g, shift, N, 2.0)
-        assert np.allclose(wgrid.apply(v), g(wgrid.nodes) * wgrid.apply_P(v),
-                           rtol=0, atol=1e-12)
+        grid = so.weighted_shift_grid(g, s1, 256, 2.0)
+        v = np.random.default_rng(0).standard_normal(256)
+        assert not grid.a_vals.any()
+        assert np.allclose(grid.apply(v), g(grid.nodes) * grid.apply_P(v), rtol=0, atol=1e-12)
+
+    def test_one_counted_call_per_product(self, monkeypatch):
+        # apply, apply_P and apply_P_transpose each carry exactly one product
+        calls = []
+        for name in ("apply", "apply_P", "apply_P_transpose"):
+            fn = getattr(so.GridOperator, name)
+            monkeypatch.setattr(so.GridOperator, name,
+                                lambda self, v, fn=fn, name=name: calls.append(name) or fn(self, v))
+        v = np.ones(64)
+        for grid in _grids("t+0.1*sin(2*pi*t)", 64):
+            calls.clear()
+            grid.apply(v)
+            grid.apply_transpose(v)
+            assert calls == ["apply", "apply_P_transpose"]
+
+
+class TestNonFinite:
+    """Coefficients and right-hand sides undefined at a grid node are refused."""
+
+    @pytest.mark.parametrize("g", ["1/sin(2*pi*t)", "log(t-0.5)"])
+    def test_weighted_shift_grid(self, s1, g):
+        with pytest.raises(so.EvalDomainError, match="at t=0.0"):
+            so.weighted_shift_grid(so.parse(g), s1, 256, 2.0)
+
+    @pytest.mark.parametrize("f", ["1/sin(2*pi*t)", "log(t-0.5)"])
+    def test_neumann_rhs(self, s1, s1_structure, f):
+        op = so.operator_spec("1", "0.5", s1, so.lebesgue(2), structure=s1_structure)
+        with pytest.raises(so.EvalDomainError, match="at t=0.0"):
+            so.neumann_apply(op, so.parse(f), 256, 10)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_discretize_coefficients(self, s1, s1_structure, which):
+        coeffs = {"a": "2", "b": "1", which: "1/sin(2*pi*t)"}
+        op = so.operator_spec(coeffs["a"], coeffs["b"], s1, so.lebesgue(2),
+                              structure=s1_structure)
+        with pytest.raises(so.EvalDomainError, match="at t=0.0"):
+            so.discretize(op, 256, 2.0)
 
 
 class TestRadiusEstimate:
