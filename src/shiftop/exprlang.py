@@ -332,7 +332,8 @@ def as_function(e) -> Callable:
     A float in gives a float out; an ndarray in gives an ndarray of the
     same shape out, also for t-free expressions.  Domain violations surface
     as non-finite values; scanning code checks for those and re-evaluates
-    pointwise with ``evaluate`` for a precise error.
+    pointwise with ``evaluate`` for a precise error, through the source
+    Expr that the compiled function keeps as ``fn.expr``.
     """
     if callable(e):
         return e
@@ -346,6 +347,7 @@ def as_function(e) -> Callable:
         with np.errstate(all="ignore"):
             return body(t)
 
+    fn.expr = e
     return fn
 
 
@@ -353,14 +355,16 @@ def check_finite(e, ts, values) -> None:
     """Raise EvalDomainError at the first t whose value is not finite.
 
     ``values`` were computed from e (an Expr or a callable) at ``ts``; an
-    Expr is re-evaluated there with ``evaluate`` so the error names the
-    offending node.
+    Expr, or the Expr a function from ``as_function`` was compiled from, is
+    re-evaluated there with ``evaluate`` so the error names the offending
+    node.
     """
     bad = ~np.isfinite(values)
     if np.any(bad):
         t = float(np.atleast_1d(ts)[np.atleast_1d(bad)][0])
-        if not callable(e):
-            evaluate(e, t)
+        expr = getattr(e, "expr", None) if callable(e) else e
+        if expr is not None:
+            evaluate(expr, t)
         raise EvalDomainError("non-finite evaluation", t=t)
 
 

@@ -1,14 +1,19 @@
 """Discretization oracle: collocation of a*I - b*W on uniform grids.
 
-Corroborates the closed-form results numerically: windowed operator-norm
-Gelfand estimates for spectral radii, residual/singular-value ladders from
-one lstsq per matrix as invertibility evidence, and truncated Neumann
+Corroborates the closed-form results numerically: spectral radii of
+weighted shifts from their orbit norms, residual/singular-value ladders
+from one lstsq per matrix as invertibility evidence, and truncated Neumann
 inverses with measured decay ratios.  Everything here is evidence, not proof.
 
-One ``GridOperator`` serves all three: A_N itself, the weighted shift g*W
-(a = 0, b = -g), and the Neumann iterate (b/a)*W or (a/b)*W^{-1}.  It is
-matrix-free: the 4-point stencil is stored slot-major, so each product is
-one gather and one contraction, with -b folded into the weights of
+On L^p the powers of a weighted shift have the exact norms
+||(gW)^n|| = sup_t |g_n(t)| |alpha_n'(t)|^{-1/p}, so the radius estimate
+needs no matrix: it carries the grid nodes along their forward orbits and
+reads the m-step ratio of these norms (``estimate_radius_numeric``).
+
+One ``GridOperator`` serves the rest: A_N itself and the Neumann iterate
+(b/a)*W or (a/b)*W^{-1}, a weighted shift g*W with a = 0 and b = -g.  It
+is matrix-free: the 4-point stencil is stored slot-major, so each product
+is one gather and one contraction, with -b folded into the weights of
 ``apply`` once per grid and the a*v term dropped where a = 0.  Only the
 invertibility ladder builds the dense matrix.  Coefficients and right-hand
 sides must be finite at the grid nodes (``EvalDomainError`` otherwise).
@@ -18,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .exprlang import as_function, check_finite
-from .circle import Shift, wrap
+from .circle import NoPeriodicStructureError, Shift, detect_orientation_and_multiplicity, wrap
 from .analysis import OperatorSpec, adjoint_spec, eta_values
 from .spectrum import radius_bound
 
@@ -36,6 +42,8 @@ DEFAULT_LADDER = (256, 512, 1024)
 DEFAULT_P = 2.0
 DEFAULT_SEED = 0x5EED
 SMIN_FLOOR = 1e-10
+K_CAP = 12          # highest matrix power in neumann_apply's measured ratio
+RADIUS_RTOL = 1e-13  # two successive radius ratios this close end the orbit sweep
 
 
 def _lagrange_stencil(positions: np.ndarray, N: int):
@@ -62,7 +70,9 @@ class GridOperator:
     gather v[idx] and one contraction over the 4 slots (a transpose is one
     bincount), and goes through exactly one of apply, apply_P and
     apply_P_transpose.  Norms are the weighted discrete p-norm with
-    weights 1/N.
+    weights 1/N.  ``shift`` and ``b`` are the shift and the compiled
+    coefficient the grid sampled; for g*W, b is the weight g and
+    b_vals = -g(nodes).
     """
 
     N: int
@@ -73,6 +83,8 @@ class GridOperator:
     idx: np.ndarray
     wts: np.ndarray
     alpha_deriv: np.ndarray
+    shift: Shift
+    b: Callable
     _dense: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -139,13 +151,14 @@ def _grid(shift: Shift, a, b, N: int, p: float, weighted_shift: bool = False) ->
     weight g of g*W, i.e. a = 0 and b = -g (a is then unused)."""
     _validate_grid(N, p)
     nodes = np.arange(N) / N
+    b_fn = as_function(b)
     if weighted_shift:
-        a_vals, b_vals = np.zeros(N), -_at_nodes(b, nodes)
+        a_vals, b_vals = np.zeros(N), -_at_nodes(b_fn, nodes)
     else:
-        a_vals, b_vals = _at_nodes(a, nodes), _at_nodes(b, nodes)
+        a_vals, b_vals = _at_nodes(a, nodes), _at_nodes(b_fn, nodes)
     idx, wts = _lagrange_stencil(shift(nodes), N)
     return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts,
-                        np.abs(shift.deriv(nodes)))
+                        np.abs(shift.deriv(nodes)), shift, b_fn)
 
 
 def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
@@ -182,11 +195,12 @@ def _smax_power(grid: GridOperator, K: int, iters: int,
     return s
 
 
-def _saturation_window(N: int, deriv: np.ndarray, k_cap: int = 24) -> int:
+def _saturation_window(N: int, deriv: np.ndarray) -> int:
     """Largest power K before sub-grid concentration: log(N/8)/log(kappa)
-    with kappa the strongest one-step expansion in either direction."""
+    with kappa the strongest one-step expansion in either direction, at
+    most K_CAP."""
     kappa = max(float(np.max(deriv)), 1.0 / float(np.min(deriv)), 1.0 + 1e-6)
-    return int(np.clip(np.log(N / 8.0) / np.log(kappa), 1, k_cap))
+    return int(np.clip(np.log(N / 8.0) / np.log(kappa), 1, K_CAP))
 
 
 def _windowed_gelfand(grid: GridOperator, k_max: int, rng: np.random.Generator) -> float:
@@ -208,43 +222,51 @@ class RadiusEstimate:
 
 
 def estimate_radius_numeric(grid: GridOperator, iters: int = 200) -> RadiusEstimate:
-    """Spectral-radius estimate for a weighted shift grid operator.
+    """Spectral radius of the weighted shift g*W on L^p from its orbit norms.
 
-    The discrete matrix loses operator-norm growth once concentrating
-    modes fall below grid resolution, so the Gelfand sequence is read from
-    singular-value ratios ||M^K||/||M^{K-1}|| over the pre-saturation
-    window.  A plain normalized iteration of `iters` steps guards from
-    above: when the orbit products collapse (weight vanishing on the
-    periodic set) its Gelfand value, which tends to zero, is returned
-    instead.
+    By the change of variables s = alpha_n(t), the n-th power has the norm
+    a_n = sup_t |g_n(t)| |alpha_n'(t)|^{-1/p} (g_n the orbit product of g,
+    alpha_n' that of alpha'), and r(gW) = lim a_n^{1/n} (Antonevich,
+    Linear Functional Equations: Operator Approach, 1996).  The grid's
+    nodes are carried along their forward orbits, one vectorised shift
+    step per n, with running sums of log|g| - (1/p) log|alpha'|; log a_n is
+    their maximum.  The estimate is the m-step ratio (a_n / a_{n-m})^{1/m},
+    read at n = m, 2m, ..., which cancels the period-m oscillation of the
+    orbit sums; m is the multiplicity of the shift's periodic points
+    (iters // 2 when it has none).  The sweep stops once two successive
+    ratios agree to RADIUS_RTOL, or after `iters` steps.  When every node's
+    orbit reaches a zero of g the estimate is 0.0.  No stencil product is
+    made: the grid contributes only its nodes, p, shift and weight.
 
-    Caveat: grid nodes sitting exactly on repelling periodic points carry
-    |g|^K growth with no dilation penalty (their continuum counterparts
-    have measure zero), so the estimate is only reliable when the radius
-    is attained on the attracting side, i.e. with dilation factor >= 1 at
-    the maximizing periodic point.
+    Domain: the sup runs over the orbits of the nodes, which converge to
+    the attracting periodic points and stay on the periodic points that
+    are nodes.  So the estimate equals the closed form max over Lambda of
+    (|g_m| |alpha_m'|^{-1/p})^{1/m} unless that maximum sits only on
+    repelling periodic points that are not grid nodes.
     """
     if iters < 50:
         raise ValueError("iters must be >= 50")
-    rng = np.random.default_rng(DEFAULT_SEED)
-    k_max = _saturation_window(grid.N, grid.alpha_deriv)
-    window_est = _windowed_gelfand(grid, k_max, rng)
-
-    v = rng.standard_normal(grid.N)
-    v /= math.sqrt(v @ v)
-    log_prod = 0.0
-    dead = False
-    for _ in range(iters):
-        w = grid.apply(v)
-        r = math.sqrt(w @ w)
-        if r == 0.0:
-            dead = True
-            break
-        log_prod += math.log(r)
-        v = w / r
-    long_run = 0.0 if dead else math.exp(log_prod / iters)
-
-    estimate = long_run if long_run < 0.25 * window_est else window_est
+    try:
+        lag = detect_orientation_and_multiplicity(grid.shift)[1]
+    except NoPeriodicStructureError:
+        lag = iters // 2
+    shift, weight, p = grid.shift, grid.b, grid.p
+    t = grid.nodes
+    log_norms = np.zeros(grid.N)   # log |g_n(t)| |alpha_n'(t)|^{-1/p} at each node t
+    log_prev, estimate = 0.0, 0.0    # log a_0 = log ||I|| = 0
+    with np.errstate(divide="ignore"):
+        for n in range(1, iters + 1):
+            log_norms += np.log(np.abs(weight(t))) - np.log(np.abs(shift.deriv(t))) / p
+            t = shift(t)
+            if n % lag:
+                continue
+            log_a = float(np.max(log_norms))
+            if log_a == -math.inf:
+                return RadiusEstimate(0.0)
+            ratio = math.exp((log_a - log_prev) / lag)
+            if abs(ratio - estimate) <= RADIUS_RTOL * ratio:
+                return RadiusEstimate(ratio)
+            log_prev, estimate = log_a, ratio
     return RadiusEstimate(estimate)
 
 
@@ -373,6 +395,6 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
     rbound = (radius_bound(iter_weight, iter_shift, op.structure, op.space)
               if op.structure.m == 1 else float("nan"))
 
-    k_geo = max(_saturation_window(N, C.alpha_deriv, k_cap=12), 2)
+    k_geo = max(_saturation_window(N, C.alpha_deriv), 2)
     measured = _windowed_gelfand(C, k_geo, np.random.default_rng(DEFAULT_SEED))
     return NeumannResult(float(residual), branch, float(measured), float(rbound))

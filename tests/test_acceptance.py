@@ -28,7 +28,7 @@ def suite():
 
 
 def test_criterion_1_radius_closed_form_vs_oracle(suite):
-    """Theorem radius 1.6403 vs power iteration at N=1024, 200 steps, 5%."""
+    """Theorem radius 1.6403 vs orbit norms at N=1024, 200 steps, 5%."""
     s1 = so.Shift.from_lift("t+0.1*sin(2*pi*t)")
     ps = so.compute_periodic_structure(s1)
     target = so.radius_bound(so.parse("1"), s1, ps, so.lebesgue(2.0))

@@ -135,7 +135,9 @@ class TestNonFinite:
         coeffs = {"a": "2", "b": "1", which: "1/sin(2*pi*t)"}
         op = so.operator_spec(coeffs["a"], coeffs["b"], s1, so.lebesgue(2),
                               structure=s1_structure)
-        with pytest.raises(so.EvalDomainError, match="at t=0.0"):
+        # the compiled coefficient keeps its Expr, so the error names the subexpression
+        with pytest.raises(so.EvalDomainError,
+                           match=r"division by zero in \(1\.0 / sin\(.*\)\) at t=0\.0"):
             so.discretize(op, 256, 2.0)
 
 
@@ -158,7 +160,7 @@ class TestRadiusEstimate:
             * (np.abs(np.asarray(t) - 0.25) < math.sqrt(0.02))
         grid = so.weighted_shift_grid(g, s1, 1024, 2.0)
         est = so.estimate_radius_numeric(grid, iters=200)
-        assert est.estimate < 0.05
+        assert est.estimate == 0.0
 
     def test_radius_agreement_suite(self, s1, s1_structure):
         # m=1 weighted fixtures whose radius is carried by the attracting
@@ -169,6 +171,39 @@ class TestRadiusEstimate:
             est = so.estimate_radius_numeric(grid, iters=200)
             target = so.radius_bound(g, s1, s1_structure, so.lebesgue(2.0))
             assert abs(est.estimate - target) <= 0.05 * target, g_text
+
+    @pytest.mark.parametrize("lift, g, target", [
+        # weights peaking away from the periodic set, then a radius carried
+        # by the repelling fixed points 0 and 1/2, then two Carleman lifts
+        ("t+0.1*sin(2*pi*t)", "1+2*sin(2*pi*t)^2", 1.640267),
+        ("t+0.1*sin(2*pi*t)", "2+sin(4*pi*t)", 3.280534),
+        ("t+0.05*sin(4*pi*t)", "1+0.4*cos(4*pi*t)", 1.097131),
+        ("t+0.5", "1+0.5*cos(2*pi*t)", 1.0),
+        ("1-t", "1.5+sin(2*pi*t)", 1.5),
+    ])
+    def test_matches_closed_form(self, lift, g, target):
+        shift, weight = so.Shift.from_lift(lift), so.parse(g)
+        structure = so.compute_periodic_structure(shift)
+        if structure.m == 1:
+            closed = so.radius_bound(weight, shift, structure, so.lebesgue(2.0))
+        else:
+            # |alpha_2'| = 1 on these lifts: r = (max |g_2|)^(1/2), attained at a node
+            t = np.arange(4096) / 4096
+            closed = float(np.max(np.abs(so.orbit_product(weight, shift, 2, t)))) ** 0.5
+        assert closed == pytest.approx(target, abs=1e-6)
+        grid = so.weighted_shift_grid(weight, shift, 1024, 2.0)
+        est = so.estimate_radius_numeric(grid, iters=200)
+        assert est.estimate == pytest.approx(closed, rel=1e-9)
+
+    def test_makes_no_stencil_product(self, s1, monkeypatch):
+        grid = so.weighted_shift_grid(so.parse("2+sin(4*pi*t)"), s1, 1024, 2.0)
+
+        def refuse(self, v):
+            raise AssertionError("stencil product in estimate_radius_numeric")
+
+        for name in ("apply", "apply_P", "apply_P_transpose"):
+            monkeypatch.setattr(so.GridOperator, name, refuse)
+        assert so.estimate_radius_numeric(grid, iters=200).estimate > 0.0
 
 
 class TestEvidence:
