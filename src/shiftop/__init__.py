@@ -7,8 +7,7 @@ from .circle import (Arc, GammaArc, Shift, PeriodicStructure, StructureError,
                      NoPeriodicStructureError, wrap, circle_dist,
                      detect_orientation_and_multiplicity,
                      compute_periodic_structure, orbit_limit_endpoints)
-from .indices import (SpaceIndices, space_indices, lebesgue, associate_indices,
-                      submultiplicative_indices)
+from .indices import SpaceIndices, space_indices, lebesgue, associate_indices
 from .analysis import (OperatorSpec, operator_spec, GammaPartition,
                        InvertibilityReport, orbit_product, eta_values,
                        eta_limits, build_partition, sigma_A, check_R, check_L,

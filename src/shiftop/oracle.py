@@ -8,7 +8,9 @@ inverses with measured decay ratios.  Everything here is evidence, not proof.
 On L^p the powers of a weighted shift have the exact norms
 ||(gW)^n|| = sup_t |g_n(t)| |alpha_n'(t)|^{-1/p}, so the radius estimate
 needs no matrix: it carries the grid nodes along their forward orbits and
-reads the m-step ratio of these norms (``estimate_radius_numeric``).
+reads the m-step ratio of these norms (``estimate_radius_numeric``).  It is
+the one radius estimator: ``neumann_apply``'s measured decay ratio is this
+estimate for the Neumann iterate.
 
 One ``GridOperator`` serves the rest: A_N itself and the Neumann iterate
 (b/a)*W or (a/b)*W^{-1}, a weighted shift g*W with a = 0 and b = -g.  It
@@ -42,7 +44,6 @@ DEFAULT_LADDER = (256, 512, 1024)
 DEFAULT_P = 2.0
 DEFAULT_SEED = 0x5EED
 SMIN_FLOOR = 1e-10
-K_CAP = 12          # highest matrix power in neumann_apply's measured ratio
 RADIUS_RTOL = 1e-13  # two successive radius ratios this close end the orbit sweep
 
 
@@ -67,12 +68,12 @@ class GridOperator:
     P interpolates f at alpha(t_i) with a 4-point periodic Lagrange
     stencil, stored slot-major as (4, N) arrays: row i of P holds the
     weights wts[:, i] in the columns idx[:, i].  Every product is one
-    gather v[idx] and one contraction over the 4 slots (a transpose is one
-    bincount), and goes through exactly one of apply, apply_P and
-    apply_P_transpose.  Norms are the weighted discrete p-norm with
-    weights 1/N.  ``shift`` and ``b`` are the shift and the compiled
-    coefficient the grid sampled; for g*W, b is the weight g and
-    b_vals = -g(nodes).
+    gather v[idx] and one contraction over the 4 slots, and goes through
+    exactly one of apply, apply_P and apply_P_transpose.  The only
+    transpose is apply_P_transpose, P^T v as one bincount.  Norms are the
+    weighted discrete p-norm with weights 1/N.  ``shift`` and ``b`` are the
+    shift and the compiled coefficient the grid sampled; for g*W, b is the
+    weight g and b_vals = -g(nodes).
     """
 
     N: int
@@ -82,7 +83,6 @@ class GridOperator:
     b_vals: np.ndarray
     idx: np.ndarray
     wts: np.ndarray
-    alpha_deriv: np.ndarray
     shift: Shift
     b: Callable
     _dense: np.ndarray | None = field(default=None, repr=False)
@@ -90,8 +90,7 @@ class GridOperator:
     def __post_init__(self):
         # a = 0 on every weighted shift and Neumann iterate: no a*v term there
         self._has_a = bool(np.any(self.a_vals))
-        self._neg_b = -self.b_vals
-        self._neg_bw = self._neg_b * self.wts     # apply's weights: -b folded into P
+        self._neg_bw = -self.b_vals * self.wts     # apply's weights: -b folded into P
 
     def apply_P(self, v: np.ndarray) -> np.ndarray:
         return np.einsum("ki,ki->i", self.wts, v[self.idx])
@@ -102,12 +101,6 @@ class GridOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = np.einsum("ki,ki->i", self._neg_bw, v[self.idx])
-        if self._has_a:
-            out += self.a_vals * v
-        return out
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        out = self.apply_P_transpose(self._neg_b * v)
         if self._has_a:
             out += self.a_vals * v
         return out
@@ -157,8 +150,7 @@ def _grid(shift: Shift, a, b, N: int, p: float, weighted_shift: bool = False) ->
     else:
         a_vals, b_vals = _at_nodes(a, nodes), _at_nodes(b_fn, nodes)
     idx, wts = _lagrange_stencil(shift(nodes), N)
-    return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts,
-                        np.abs(shift.deriv(nodes)), shift, b_fn)
+    return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts, shift, b_fn)
 
 
 def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
@@ -169,51 +161,6 @@ def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
 def weighted_shift_grid(g, shift: Shift, N: int, p: float) -> GridOperator:
     """Grid operator for g*W (the a = 0, b = -g variant of A)."""
     return _grid(shift, None, g, N, p, weighted_shift=True)
-
-
-def _smax_power(grid: GridOperator, K: int, iters: int,
-                rng: np.random.Generator) -> float:
-    """Largest singular value of M^K via power iteration on (M^K)^T M^K."""
-    v = rng.standard_normal(grid.N)
-    v /= math.sqrt(v @ v)
-    s = 0.0
-    for _ in range(iters):
-        w = v
-        for _ in range(K):
-            w = grid.apply(w)
-        u = w
-        for _ in range(K):
-            u = grid.apply_transpose(u)
-        nu = math.sqrt(u @ u)
-        if nu == 0.0:
-            return 0.0
-        s_new = math.sqrt(w @ w)
-        v = u / nu
-        if abs(s_new - s) <= 1e-12 * max(s_new, 1.0):
-            return s_new
-        s = s_new
-    return s
-
-
-def _saturation_window(N: int, deriv: np.ndarray) -> int:
-    """Largest power K before sub-grid concentration: log(N/8)/log(kappa)
-    with kappa the strongest one-step expansion in either direction, at
-    most K_CAP."""
-    kappa = max(float(np.max(deriv)), 1.0 / float(np.min(deriv)), 1.0 + 1e-6)
-    return int(np.clip(np.log(N / 8.0) / np.log(kappa), 1, K_CAP))
-
-
-def _windowed_gelfand(grid: GridOperator, k_max: int, rng: np.random.Generator) -> float:
-    """Geometric mean of ||M^K||/||M^{K-1}|| over the pre-saturation prefix."""
-    s = [_smax_power(grid, K, 60, rng) for K in range(1, k_max + 2)]
-    ratios = [s[i] / s[i - 1] if s[i - 1] > 0 else 0.0 for i in range(1, len(s))]
-    window = [ratios[0]]
-    for r_prev, r_next in zip(ratios, ratios[1:]):
-        if r_prev <= 0.0 or r_next < 0.97 * r_prev:
-            break
-        window.append(r_next)
-    positive = [r for r in window if r > 0.0]
-    return float(np.exp(np.mean(np.log(positive)))) if positive else 0.0
 
 
 @dataclass(frozen=True)
@@ -358,10 +305,14 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
         A^{-1} = -W^{-1} sum_n (b^{-1} a W^{-1})^n b^{-1}.
 
     Returns the relative residual ||A S_K f - f||_p / ||f||_p (p = DEFAULT_P;
-    f must be finite at the grid nodes) together with
-    the measured geometric decay ratio of the truncation error (operator
-    norm over the pre-saturation window) and the spectral-radius bound of
-    the iterated operator it should track.
+    f must be finite at the grid nodes) together with the measured
+    geometric decay ratio of the truncation error and the closed-form
+    spectral-radius bound of the iterated operator it should track (nan
+    unless the shift has fixed points, m = 1).  The measured ratio is
+    ``estimate_radius_numeric`` of the iterate's grid, the m-step ratio of
+    its orbit norms; it makes no stencil product.  It has that estimator's
+    domain: it misses a radius carried only by repelling periodic points
+    of the iterate's shift that are not grid nodes.
     """
     probe = np.linspace(0.0, 1.0, 257)
     e0, e1 = eta_values(op, probe)
@@ -394,7 +345,5 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
     # the sharp closed-form bound is stated for shifts with fixed points
     rbound = (radius_bound(iter_weight, iter_shift, op.structure, op.space)
               if op.structure.m == 1 else float("nan"))
-
-    k_geo = max(_saturation_window(N, C.alpha_deriv), 2)
-    measured = _windowed_gelfand(C, k_geo, np.random.default_rng(DEFAULT_SEED))
-    return NeumannResult(float(residual), branch, float(measured), float(rbound))
+    measured = estimate_radius_numeric(C).estimate
+    return NeumannResult(float(residual), branch, measured, float(rbound))

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import shiftop as so
@@ -42,36 +41,3 @@ class TestAssociate:
         assert y.alpha == pytest.approx(x.alpha, abs=1e-15)
         assert y.beta == pytest.approx(x.beta, abs=1e-15)
 
-
-class TestSubmultiplicativeIndices:
-    def test_pure_power_exact(self):
-        est = so.submultiplicative_indices(lambda x: np.asarray(x) ** 0.37)
-        assert est.lower == pytest.approx(0.37, abs=1e-12)
-        assert est.upper == pytest.approx(0.37, abs=1e-12)
-
-    def test_two_branch_power(self):
-        f = lambda x: np.maximum(np.asarray(x) ** (1 / 3), np.asarray(x) ** (1 / 2))
-        est = so.submultiplicative_indices(f)
-        assert est.lower == pytest.approx(1 / 3, abs=1e-9)
-        assert est.upper == pytest.approx(1 / 2, abs=1e-9)
-
-    def test_max_one_x(self):
-        est = so.submultiplicative_indices(lambda x: np.maximum(1.0, np.asarray(x)))
-        assert est.lower == pytest.approx(0.0, abs=1e-9)
-        assert est.upper == pytest.approx(1.0, abs=1e-9)
-
-    def test_lower_le_upper(self):
-        for c in (0.1, 0.45, 0.9):
-            est = so.submultiplicative_indices(lambda x: np.asarray(x) ** c)
-            assert est.lower <= est.upper + 1e-12
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            so.submultiplicative_indices(lambda x: np.asarray(x) - 10.0)
-
-    def test_violation_warns(self):
-        # f(x) = exp(x) is not submultiplicative near 0: f(x1*x2) > f(x1)f(x2)
-        # for small arguments
-        with pytest.warns(UserWarning, match="submultiplicativity"):
-            so.submultiplicative_indices(lambda x: np.exp(np.asarray(x)) - 0.9,
-                                         x_min=1e-3, x_max=10.0)
