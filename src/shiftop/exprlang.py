@@ -538,7 +538,6 @@ def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
     scale = max(1.0, float(np.max(np.abs(fx))))
     node_atol = 1e-13 * scale
     screen = scale * (10.0 / cells) ** 2
-    certain_atol = 64 * np.finfo(float).eps * scale
 
     flat = np.abs(fx) <= flat_tol
     hits: list[ZeroHit] = []

@@ -307,8 +307,9 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
     Returns the relative residual ||A S_K f - f||_p / ||f||_p (p = DEFAULT_P;
     f must be finite at the grid nodes) together with the measured
     geometric decay ratio of the truncation error and the closed-form
-    spectral-radius bound of the iterated operator it should track (nan
-    unless the shift has fixed points, m = 1).  The measured ratio is
+    spectral-radius bound of the iterated operator it should track.  The
+    iterate's shift, or its inverse, has the operator's periodic points
+    and multiplicity m.  The measured ratio is
     ``estimate_radius_numeric`` of the iterate's grid, the m-step ratio of
     its orbit norms; it makes no stencil product.  It has that estimator's
     domain: it misses a radius carried only by repelling periodic points
@@ -342,8 +343,6 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
     Sf = acc if branch == "dominant-a" else -C.apply_P(acc)
 
     residual = grid.norm(grid.apply(Sf) - f_vals) / grid.norm(f_vals)
-    # the sharp closed-form bound is stated for shifts with fixed points
-    rbound = (radius_bound(iter_weight, iter_shift, op.structure, op.space)
-              if op.structure.m == 1 else float("nan"))
+    rbound = radius_bound(iter_weight, iter_shift, op.structure, op.space)
     measured = estimate_radius_numeric(C).estimate
     return NeumannResult(float(residual), branch, measured, float(rbound))

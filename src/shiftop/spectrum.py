@@ -74,21 +74,30 @@ def _lambda_samples(structure: PeriodicStructure) -> np.ndarray:
     return np.asarray(sorted(set(pts)))
 
 
+def _orbit_weight(g, shift: Shift, m: int):
+    """The orbit product g_m(t) = prod_{i<m} g(alpha_i(t)), checked finite."""
+    fn = as_function(g)
+
+    def g_m(t):
+        vals = orbit_product(fn, shift, m, wrap(t))
+        check_finite(g, t, vals)
+        return vals
+    return g_m
+
+
 def radius_bound(g, shift: Shift, structure: PeriodicStructure,
                  x: SpaceIndices) -> float:
-    """Sharp upper bound for the spectral radius of g*W on X: max over the
-    fixed-point set of |g| * max{|alpha'|^{-alpha_X}, |alpha'|^{-beta_X}}.
+    """Sharp upper bound for the spectral radius of g*W on X: the max over
+    the periodic-point set Lambda of (|g_m| * h(alpha_m'))^{1/m}, where
+    g_m is the orbit product of g, alpha_m the m-th iterate of the shift
+    and h(s) = max{|s|^{-alpha_X}, |s|^{-beta_X}}.
 
     On L^p (x = lebesgue(p)) this is the spectral radius itself.
     """
-    if structure.m != 1:
-        raise ValueError("radius_bound applies to shifts with fixed points (m=1); "
-                         "use shift_spectrum for higher multiplicity")
-    taus = _lambda_samples(structure)
-    _, factor = x.dilation_pair(shift.deriv(taus))
-    g_vals = as_function(g)(taus)
-    check_finite(g, taus, g_vals)
-    return float(np.max(np.abs(g_vals) * factor))
+    m = structure.m
+    _, Delta = _delta_Delta(_orbit_weight(g, shift, m), shift, m, x,
+                            _lambda_samples(structure))
+    return float(np.max(Delta) ** (1.0 / m))
 
 
 def _delta_Delta(d_m, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
@@ -118,12 +127,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     if samples < 64:
         raise ValueError("samples must be >= 64")
     m = structure.m
-    d_fn = as_function(d)
-
-    def d_m(t):
-        vals = orbit_product(d_fn, shift, m, wrap(t))
-        check_finite(d, t, vals)
-        return vals
+    d_m = _orbit_weight(d, shift, m)
 
     curve_samples: list[complex] = []
     curve_values: list[tuple[complex, ...]] = []

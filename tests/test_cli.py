@@ -199,11 +199,14 @@ class TestRadius:
         assert out["radius_lebesgue"] == pytest.approx(1.6403, abs=1e-4)
         assert out["radius_bound"] == pytest.approx(1.6403, abs=1e-4)
 
-    def test_multiplicity_two_exit_2(self, tmp_path, capsys):
+    def test_multiplicity_two_json(self, tmp_path, capsys):
+        # the reflection 1-t: every point has period 2 and alpha_2' = 1
         code = cli.run(["radius", "-c", write_config(tmp_path, shift={"lift": "1-t"}),
                         "--weight", "1"])
-        assert code == 2
-        assert "m=1" in capsys.readouterr().err
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["radius_lebesgue"] == 1.0
+        assert out["radius_bound"] == 1.0
 
     def test_p_out_of_range_exit_2(self, tmp_path, capsys):
         code = cli.run(["radius", "-c", write_config(tmp_path), "--weight", "1", "--p", "1"])

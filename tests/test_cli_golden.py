@@ -5,8 +5,8 @@ The files under tests/golden/ were recorded from the code as it was before
 expressions were compiled once and every function of t took the
 float-or-array convention, so any change to the printed bytes shows up
 here.  The radius runs on the shifts with m = 2 (F7, F9) crashed with a
-traceback then; they were recorded after that failure was mapped to exit
-code 2, and exit_codes.json lists them under "recorded_after_fix".
+traceback then; they were re-recorded once radius_bound took the m-th-root
+form that covers every multiplicity, and now print JSON with exit code 0.
 
 To re-record after an intended output change:
 

@@ -311,6 +311,19 @@ class TestNeumann:
         res = so.neumann_apply(op, so.parse("1+0.3*sin(2*pi*t)+0.1*cos(4*pi*t)"), 1024, 40)
         assert res.measured_ratio == pytest.approx(res.radius_bound, rel=1e-12)
 
+    @pytest.mark.parametrize("a, b, branch", [("1", "0.3", "dominant-a"),
+                                              ("0.3", "1", "dominant-b")])
+    def test_multiplicity_two(self, a, b, branch):
+        # m = 2 with Lambda = {0, 1/4, 1/2, 3/4}: the bound is the m-th-root form
+        shift = so.Shift.from_lift("t+0.5+0.05*sin(4*pi*t)")
+        op = so.operator_spec(a, b, shift, so.lebesgue(2),
+                              structure=so.compute_periodic_structure(shift))
+        assert op.structure.m == 2
+        res = so.neumann_apply(op, so.parse("1+0.3*sin(2*pi*t)"), 1024, 40)
+        assert res.branch == branch
+        assert math.isfinite(res.radius_bound)
+        assert res.measured_ratio == pytest.approx(res.radius_bound, rel=1e-12)
+
     @pytest.mark.parametrize("a, b, branch", [("1", "0.5", "dominant-a"),
                                               ("0.1", "1", "dominant-b")])
     def test_stencil_products(self, s1, s1_structure, monkeypatch, a, b, branch):

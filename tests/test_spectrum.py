@@ -29,11 +29,12 @@ class TestRadiusLebesgue:
         with pytest.raises(ValueError):
             so.radius_bound(so.parse("1"), s1, s1_structure, so.lebesgue(1.0))
 
-    def test_m2_rejected(self):
+    def test_m2_rotation_unit_radius(self):
+        # every point is 2-periodic under the half rotation, with alpha_2' = 1
         rot = so.Shift.from_lift("t+0.5")
         ps = so.compute_periodic_structure(rot)
-        with pytest.raises(ValueError, match="m=1"):
-            so.radius_bound(so.parse("1"), rot, ps, so.lebesgue(2.0))
+        assert ps.m == 2
+        assert so.radius_bound(so.parse("1"), rot, ps, so.lebesgue(2.0)) == 1.0
 
 
 class TestRadiusBound:
@@ -111,6 +112,19 @@ class TestShiftSpectrum:
             top = max(a.r_out for a in ss.annuli)
             rb = so.radius_bound(so.parse(g), s1, s1_structure, idx)
             assert top == pytest.approx(rb, abs=1e-9)
+        # m = 2: the radius is the largest |z| over annuli and curve samples
+        cases = [("1-t", "sin(2*pi*t)+0.5"), ("t+0.5", "2")]
+        cases += [("t+0.5+0.05*sin(4*pi*t)", g)
+                  for g in ("1", "1+0.5*cos(2*pi*t)", "2+sin(4*pi*t)")]
+        for lift, g in cases:
+            shift = so.Shift.from_lift(lift)
+            ps = so.compute_periodic_structure(shift)
+            assert ps.m == 2
+            for x in (so.lebesgue(2.0), idx):
+                ss = so.shift_spectrum(so.parse(g), shift, ps, x)
+                top = max([a.r_out for a in ss.annuli] + [abs(z) for z in ss.curve_samples])
+                rb = so.radius_bound(so.parse(g), shift, ps, x)
+                assert rb == pytest.approx(top, rel=1e-15), (lift, g, x)
 
 
 class TestOneSidedCore:
