@@ -500,22 +500,22 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float, tol: float) -> float:
 
 
 def _refine_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimization of |fn| on [a, b]."""
+    """Golden-section minimization of fn on [a, b]: (argmin, min)."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - gr * (b - a)
     x2 = a + gr * (b - a)
-    f1, f2 = abs(fn(x1)), abs(fn(x2))
+    f1, f2 = fn(x1), fn(x2)
     while b - a > tol:
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - gr * (b - a)
-            f1 = abs(fn(x1))
+            f1 = fn(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + gr * (b - a)
-            f2 = abs(fn(x2))
+            f2 = fn(x2)
     x = x1 if f1 < f2 else x2
-    return x, abs(fn(x))
+    return x, fn(x)
 
 
 def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
@@ -588,7 +588,7 @@ def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
         if in_flat[i] or sgn[i] == 0 or sgn[i - 1] != sgn[i] or sgn[i] != sgn[i + 1]:
             continue
         if absf[i] <= screen and absf[i] < absf[i - 1] and absf[i] <= absf[i + 1]:
-            x, v = _refine_min(fn, xs[i - 1], xs[i + 1], tol)
+            x, v = _refine_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], tol)
             if v <= screen:
                 hits.append(ZeroHit(x, "tangential", v, suspect=True))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import as_function, check_finite, find_zeros
+from .exprlang import ZERO_TOL, _refine_min, as_function, check_finite, find_zeros
 from .circle import GammaArc, PeriodicStructure, Shift, orbit_product, wrap
 from .indices import SpaceIndices
 
@@ -22,8 +22,7 @@ __all__ = ["Annulus", "SpectrumSet", "radius_bound",
            "spectrum_to_csv"]
 
 GC_THRESHOLD = 1e-10
-ARC_SAMPLES = 256
-SAMPLES = 512   # shift_spectrum's samples per arc, and the CLI's --samples default
+SAMPLES = 512   # samples per arc: radius_bound's, and the default of shift_spectrum and --samples
 
 
 @dataclass(frozen=True)
@@ -40,38 +39,30 @@ class Annulus:
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Spectrum of d*W: annuli plus sampled curve images with m-fold roots.
+    """Spectrum of d*W: annuli plus the curve {z : z^m = d_m(t)} over the
+    Carleman arcs.
 
     curve_samples hold all m-th roots of the sampled d_m values (for
-    export); curve_values hold the raw d_m samples per Carleman arc, used
-    for resolution-limited membership tests in the z^m plane.
+    export).  curve_ranges hold one (min d_m, max d_m) pair per Carleman
+    arc: d_m is real and continuous, so that is exactly the arc's image.
     """
 
     m: int
     annuli: tuple[Annulus, ...]             # merged, for reporting
     raw_annuli: tuple[Annulus, ...]         # one per component / Y' point
     curve_samples: tuple[complex, ...]
-    curve_values: tuple[tuple[complex, ...], ...]
-
-    @property
-    def curve_resolution(self) -> float:
-        res = 0.0
-        for arc_vals in self.curve_values:
-            if len(arc_vals) < 2:
-                continue
-            diffs = np.abs(np.diff(arc_vals))
-            res = max(res, float(np.max(diffs)))
-        return res
+    curve_ranges: tuple[tuple[float, float], ...]
 
 
-def _lambda_samples(structure: PeriodicStructure) -> np.ndarray:
-    """Sample points covering the fixed-point set (points plus arc grids)."""
-    pts = list(structure.lambda_points)
-    for a in structure.lambda_arcs:
-        pts.extend(wrap(np.linspace(a.start, a.end, ARC_SAMPLES + 1)).tolist())
-    if not pts:
-        raise ValueError("structure has an empty periodic-point set")
-    return np.asarray(sorted(set(pts)))
+def _arc_extreme(fn, ts: np.ndarray, vals: np.ndarray, sign: float) -> float:
+    """Sup (sign = 1) or inf (sign = -1) of the continuous real fn over
+    [ts[0], ts[-1]], given its values vals on the grid ts: the most extreme
+    sample, refined by golden section on its two neighbouring cells, and
+    the more extreme of the two kept."""
+    i = int(np.argmax(sign * vals))
+    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    _, v = _refine_min(lambda t: -sign * fn(t), lo, hi, ZERO_TOL)
+    return sign * max(sign * float(vals[i]), -float(v))
 
 
 def _orbit_weight(g, shift: Shift, m: int):
@@ -90,14 +81,21 @@ def radius_bound(g, shift: Shift, structure: PeriodicStructure,
     """Sharp upper bound for the spectral radius of g*W on X: the max over
     the periodic-point set Lambda of (|g_m| * h(alpha_m'))^{1/m}, where
     g_m is the orbit product of g, alpha_m the m-th iterate of the shift
-    and h(s) = max{|s|^{-alpha_X}, |s|^{-beta_X}}.
+    and h(s) = max{|s|^{-alpha_X}, |s|^{-beta_X}}; exact at the points of
+    Lambda, refined from SAMPLES + 1 samples on each arc (_arc_extreme).
 
     On L^p (x = lebesgue(p)) this is the spectral radius itself.
     """
     m = structure.m
-    _, Delta = _delta_Delta(_orbit_weight(g, shift, m), shift, m, x,
-                            _lambda_samples(structure))
-    return float(np.max(Delta) ** (1.0 / m))
+    g_m = _orbit_weight(g, shift, m)
+    Delta = lambda t: _delta_Delta(g_m, shift, m, x, t)[1]
+    sups = list(Delta(np.asarray(structure.lambda_points)))
+    for arc in structure.lambda_arcs:
+        ts = np.linspace(arc.start, arc.end, SAMPLES + 1)
+        sups.append(_arc_extreme(Delta, ts, Delta(ts), 1.0))
+    if not sups:
+        raise ValueError("structure has an empty periodic-point set")
+    return float(np.max(sups) ** (1.0 / m))
 
 
 def _delta_Delta(d_m, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
@@ -130,13 +128,13 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     d_m = _orbit_weight(d, shift, m)
 
     curve_samples: list[complex] = []
-    curve_values: list[tuple[complex, ...]] = []
+    curve_ranges: list[tuple[float, float]] = []
     for arc in structure.omega:
-        ts = wrap(np.linspace(arc.start, arc.end, samples + 1))
-        dm = d_m(ts)
-        vals = tuple(complex(v) for v in dm)
-        curve_values.append(vals)
-        for v in vals:
+        ts = np.linspace(arc.start, arc.end, samples + 1)
+        dm = d_m(wrap(ts))
+        curve_ranges.append((_arc_extreme(d_m, ts, dm, -1.0),
+                             _arc_extreme(d_m, ts, dm, 1.0)))
+        for v in (complex(v) for v in dm):
             r = abs(v) ** (1.0 / m)
             theta = cmath.phase(v)
             for k in range(m):
@@ -166,7 +164,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
         raw.append(Annulus(delta ** (1.0 / m), Delta ** (1.0 / m)))
 
     return SpectrumSet(m, _merge(raw), tuple(raw),
-                       tuple(curve_samples), tuple(curve_values))
+                       tuple(curve_samples), tuple(curve_ranges))
 
 
 def one_sided_core_annuli(shift: Shift, arc: GammaArc,
@@ -181,9 +179,9 @@ def one_sided_core_annuli(shift: Shift, arc: GammaArc,
 def spectrum_contains(ss: SpectrumSet, z: complex) -> str:
     """Membership query: "inside", "boundary", or "outside".
 
-    Annuli are tested exactly on |z| with a 1e-9 band at the radii; curve
-    parts are tested by nearest-sample distance of z^m, which is resolution
-    limited by construction.
+    Annuli are tested exactly on |z| with a 1e-9 band at the radii; the
+    curve on w = z^m, which must be real (|Im w| <= 1e-9 * max(1, |w|)):
+    inside a Carleman arc's range of d_m, or within 1e-9 of it (boundary).
     """
     tol = 1e-9
     r = abs(z)
@@ -193,13 +191,13 @@ def spectrum_contains(ss: SpectrumSet, z: complex) -> str:
             return "inside"
         if abs(r - a.r_in) <= tol or abs(r - a.r_out) <= tol:
             boundary = True
-    if ss.curve_values:
-        w = complex(z) ** ss.m
-        res = ss.curve_resolution
-        dist = min(min(abs(w - v) for v in arc_vals)
-                   for arc_vals in ss.curve_values if arc_vals)
-        if dist <= max(tol, res):
-            return "inside"
+    w = complex(z) ** ss.m
+    if abs(w.imag) <= tol * max(1.0, abs(w)):
+        for lo, hi in ss.curve_ranges:
+            if lo <= w.real <= hi:
+                return "inside"
+            if lo - tol <= w.real <= hi + tol:
+                boundary = True
     return "boundary" if boundary else "outside"
 
 

@@ -182,6 +182,52 @@ class TestMembership:
             assert so.spectrum_contains(ss, z) == so.spectrum_contains(ss, -z)
 
 
+class TestArcRefinement:
+    """Sups and infs over Carleman and Lambda arcs are refined between the
+    samples, not read from them."""
+
+    PEAK = "1+exp(-((t-0.3007)/0.0005)^2)"   # peak of 2 between two samples
+
+    def test_curve_ranges_exact(self, idx):
+        ident = so.Shift.from_lift("t")
+        ps = so.compute_periodic_structure(ident)
+        ss = so.shift_spectrum(so.parse("2-1.9*sin(pi*t)"), ident, ps, idx)
+        ((lo, hi),) = ss.curve_ranges
+        assert lo == pytest.approx(0.1, abs=1e-12)
+        assert hi == pytest.approx(2.0, abs=1e-12)
+
+    def test_curve_membership_against_range(self, idx):
+        ident = so.Shift.from_lift("t")
+        ps = so.compute_periodic_structure(ident)
+        ss = so.shift_spectrum(so.parse("2-1.9*sin(pi*t)"), ident, ps, idx)
+        assert so.spectrum_contains(ss, 1.0) == "inside"
+        assert so.spectrum_contains(ss, 2.0) == "inside"
+        assert so.spectrum_contains(ss, 2.0 + 1e-10) == "boundary"
+        assert so.spectrum_contains(ss, 2.5) == "outside"
+        assert so.spectrum_contains(ss, 1.0 + 0.01j) == "outside"
+
+    def test_half_turn_near_miss_outside(self, idx):
+        # a*a~ - b*b~ <= -0.0786: d_2 stays above 1, yet a sample of d_2
+        # lies within the old sample spacing of 1
+        a = "1.595+1.373*cos(2*pi*t+4.738)"
+        b = "-1.764+0.241*sin(4*pi*t+2.848)"
+        rot = so.Shift.from_lift("t+0.5")
+        ps = so.compute_periodic_structure(rot)
+        ss = so.shift_spectrum(so.parse(f"({b})/({a})"), rot, ps, idx)
+        ((lo, hi),) = ss.curve_ranges
+        assert lo == pytest.approx(1.0326, abs=1e-4)
+        assert hi == pytest.approx(5.2710, abs=1e-4)
+        assert so.spectrum_contains(ss, 1.0) == "outside"
+        assert so.decide(so.operator_spec(a, b, rot, idx, structure=ps)).verdict == "two_sided"
+
+    @pytest.mark.parametrize("lift, expected", [("t", 2.0), ("1-t", math.sqrt(2.0))])
+    def test_radius_peak_between_samples(self, lift, expected):
+        shift = so.Shift.from_lift(lift)
+        ps = so.compute_periodic_structure(shift)
+        r = so.radius_bound(so.parse(self.PEAK), shift, ps, so.lebesgue(2.0))
+        assert r == pytest.approx(expected, rel=1e-12)
+
+
 class TestCsv:
     def test_rows(self, s1, s1_structure, idx):
         ss = so.shift_spectrum(so.parse("1"), s1, s1_structure, idx)
