@@ -59,9 +59,8 @@ class OperatorSpec:
 
 
 def operator_spec(a, b, shift, space: SpaceIndices,
-                  structure: PeriodicStructure | None = None,
-                  validate: bool = True) -> OperatorSpec:
-    """Assemble an OperatorSpec, detecting the periodic structure if needed."""
+                  structure: PeriodicStructure | None = None) -> OperatorSpec:
+    """OperatorSpec of 1-periodic a and b (else ValueError); detects the structure if None."""
     from .circle import compute_periodic_structure
 
     if isinstance(shift, str):
@@ -69,10 +68,9 @@ def operator_spec(a, b, shift, space: SpaceIndices,
     a_fn, b_fn = _coeff(a), _coeff(b)
     if structure is None:
         structure = compute_periodic_structure(shift)
-    if validate:
-        for name, fn in (("a", a_fn), ("b", b_fn)):
-            if not is_periodic(fn):
-                raise ValueError(f"coefficient {name} is not 1-periodic")
+    for name, fn in (("a", a_fn), ("b", b_fn)):
+        if not is_periodic(fn):
+            raise ValueError(f"coefficient {name} is not 1-periodic")
     return OperatorSpec(a_fn, b_fn, shift, structure, space)
 
 
@@ -220,7 +218,7 @@ def _coefficient_zeros(op: OperatorSpec, coeff_fn, arcs) -> tuple[list[float], b
         hits = _arc_zeros(coeff_fn, arc)
         for h in hits:
             # flat stretches and tangential zeros make the orbit pattern ambiguous
-            if h.kind == "interval" or h.suspect:
+            if h.kind != "crossing":
                 suspect = True
             else:
                 zeros.append(wrap(h.location))
@@ -368,7 +366,7 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
         if not full_circle_arc:
             hits = _filter_near_y(hits, ps)
         for h in hits:
-            if h.kind == "interval" or h.certain():
+            if h.certain():
                 zeros.append((region, wrap(h.location)))
             else:
                 ambiguous.append(wrap(h.location))

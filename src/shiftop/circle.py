@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import (FLAT_TOL, SCAN_CELLS, ZERO_TOL, ZeroHit, as_function, differentiate,
-                       find_zeros, parse)
+from .exprlang import SCAN_CELLS, ZERO_TOL, ZeroHit, as_function, differentiate, find_zeros, parse
 
 __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
@@ -34,8 +33,8 @@ __all__ = [
 
 ORBIT_GUARD = 10 ** 6
 POINT_TOL = 1e-9
-# the scan grid on which lifts are validated and periodic structure is scanned
-_GRID = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
+# the grid of the lift and coefficient checks and of the periodic-structure scan
+SCAN_GRID = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
 _M_MAX = 16   # highest multiplicity the structure scan tries
 # table nodes for inverse solves, and a step cap above the 45 halvings
 # that bisection alone needs to narrow a 1/256 cell to one ulp
@@ -133,7 +132,7 @@ class Shift:
         lf = as_function(lift_expr)
         df = as_function(differentiate(lift_expr))
 
-        ls = lf(_GRID)
+        ls = lf(SCAN_GRID)
         if not np.all(np.isfinite(ls)):
             raise StructureError("lift evaluates to non-finite values on [0,1]")
         jump = ls[-1] - ls[0]
@@ -147,8 +146,8 @@ class Shift:
         diffs = np.diff(ls) * sigma
         if np.min(diffs) <= 0.0:
             k = int(np.argmin(diffs))
-            raise StructureError(f"lift is not strictly monotone near t={_GRID[k]:.6f}")
-        ds = df(_GRID)
+            raise StructureError(f"lift is not strictly monotone near t={SCAN_GRID[k]:.6f}")
+        ds = df(SCAN_GRID)
         if not np.all(np.isfinite(ds)) or np.min(np.abs(ds)) <= 0.0:
             raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
 
@@ -329,7 +328,7 @@ class PeriodicStructure:
         return min(self.y, key=lambda p: float(circle_dist(t, p)))
 
 
-def _periodic_branches(shift: Shift, m_max: int = _M_MAX) -> tuple[int, list[int]]:
+def _periodic_branches(shift: Shift) -> tuple[int, list[int]]:
     """The multiplicity m and the lift branches n on which L^m(x) - x - n
     may vanish.
 
@@ -338,20 +337,18 @@ def _periodic_branches(shift: Shift, m_max: int = _M_MAX) -> tuple[int, list[int
     after refining u's extreme cells on 65 points each.  The integers it
     comes within 1e-7 of are the branches.  Orientation-reversing shifts
     always get m = 2 (they have two fixed points and all other periodic
-    points have multiplicity two).
+    points have multiplicity two).  Others are tried up to m = _M_MAX.
     """
     reversing = shift.orientation == -1
-    if not reversing and m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    y = _GRID
-    for j in range(1, 3 if reversing else m_max + 1):
+    y = SCAN_GRID
+    for j in range(1, 3 if reversing else _M_MAX + 1):
         y = shift.lift_ext(y)
         if reversing and j == 1:
             continue
-        u = y - _GRID
+        u = y - SCAN_GRID
         umin, umax = float(np.min(u)), float(np.max(u))
         for i in (int(np.argmin(u)), int(np.argmax(u))):
-            fine = np.linspace(_GRID[max(i - 1, 0)], _GRID[min(i + 1, SCAN_CELLS)], 65)
+            fine = np.linspace(SCAN_GRID[max(i - 1, 0)], SCAN_GRID[min(i + 1, SCAN_CELLS)], 65)
             yf = fine
             for _ in range(j):
                 yf = shift.lift_ext(yf)
@@ -360,21 +357,20 @@ def _periodic_branches(shift: Shift, m_max: int = _M_MAX) -> tuple[int, list[int
         branches = list(range(math.ceil(umin - 1e-7), math.floor(umax + 1e-7) + 1))
         if branches or reversing:
             return j, branches
-    raise NoPeriodicStructureError(f"no periodic structure with multiplicity <= {m_max}")
+    raise NoPeriodicStructureError(f"no periodic structure with multiplicity <= {_M_MAX}")
 
 
-def detect_orientation_and_multiplicity(shift: Shift, m_max: int = _M_MAX) -> tuple[int, int]:
+def detect_orientation_and_multiplicity(shift: Shift) -> tuple[int, int]:
     """Orientation from the lift, multiplicity from the first iterate with
     periodic points (2 for orientation-reversing shifts)."""
-    return shift.orientation, _periodic_branches(shift, m_max)[0]
+    return shift.orientation, _periodic_branches(shift)[0]
 
 
-def compute_periodic_structure(shift: Shift, tol: float = ZERO_TOL,
-                               flat_tol: float = FLAT_TOL) -> PeriodicStructure:
+def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
     """Detect the fixed-point set of alpha_m and decompose the circle.
 
-    Tangential (suspect) fixed-point zeros mark the structure uncertain;
-    downstream verdicts refuse to decide on uncertain structures.
+    Tangential zeros of L^m(x) - x - n (find_zeros) mark the structure
+    uncertain; downstream verdicts refuse to decide on uncertain structures.
     """
     m, branches = _periodic_branches(shift)
 
@@ -387,7 +383,7 @@ def compute_periodic_structure(shift: Shift, tol: float = ZERO_TOL,
 
     found: list[tuple[int, list[ZeroHit]]] = []
     for n in branches:
-        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0, tol=tol, flat_tol=flat_tol)
+        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0)
         if hits:
             found.append((n, hits))
     if not found:
@@ -396,7 +392,7 @@ def compute_periodic_structure(shift: Shift, tol: float = ZERO_TOL,
         raise StructureError(
             f"fixed points found at several lift branches n={[n for n, _ in found]}")
     n, hits = found[0]
-    uncertain = any(h.suspect for h in hits)
+    uncertain = any(h.kind == "tangential" for h in hits)
 
     points = [h.location for h in hits if h.kind != "interval"]
     intervals = [(float(h.lo), float(h.hi)) for h in hits if h.kind == "interval"]
@@ -426,7 +422,7 @@ def compute_periodic_structure(shift: Shift, tol: float = ZERO_TOL,
     lambda_points: list[float] = []
     lambda_arcs: list[Arc] = []
     for a, b in merged:
-        if b - a <= 8 * tol:
+        if b - a <= 8 * ZERO_TOL:
             lambda_points.append(wrap(0.5 * (a + b)))
         else:
             lambda_arcs.append(Arc(wrap(a), wrap(a) + (b - a)))

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import exprlang
-from .circle import Shift, StructureError, compute_periodic_structure
+from .circle import SCAN_GRID, Shift, StructureError
 from .indices import lebesgue, space_indices
 from .analysis import OperatorSpec, decide, operator_spec
 from .spectrum import SAMPLES, radius_bound, shift_spectrum, spectrum_to_csv
@@ -29,7 +29,6 @@ CONFIG_FIELDS = {
     "a": (str, None), "b": (str, None),
     "space.alpha": (float, None), "space.beta": (float, None),
     "space.fundamental_type": (bool, True),
-    "tolerances.zero": (float, exprlang.ZERO_TOL), "tolerances.flat": (float, exprlang.FLAT_TOL),
     "oracle.grids": (list, DEFAULT_LADDER), "oracle.p": (float, DEFAULT_P),
     "oracle.seed": (int, DEFAULT_SEED),
 }
@@ -74,15 +73,27 @@ def load_config(path: str) -> dict:
 
 
 def _check_fields(cfg: dict):
-    """Reject any key outside CONFIG_FIELDS, so a misspelt field is not ignored."""
+    """Reject unknown keys, so a misspelt field is not ignored, and non-object sections."""
     sections = {path.split(".")[0] for path in CONFIG_FIELDS}
     for key, val in cfg.items():
         if key not in sections:
             raise ConfigError(f"unknown config field {key}")
+        if key not in CONFIG_FIELDS and not isinstance(val, dict):
+            raise ConfigError(f"config field {key} must be object, got {type(val).__name__}")
         if isinstance(val, dict) and key not in CONFIG_FIELDS:
             for sub in val:
                 if f"{key}.{sub}" not in CONFIG_FIELDS:
                     raise ConfigError(f"unknown config field {key}.{sub}")
+
+
+def _coefficient(name: str, text: str) -> exprlang.Expr:
+    """Coefficient a or b, parsed and checked finite on the scan grid."""
+    try:
+        expr = exprlang.parse(text)
+        exprlang.check_finite(expr, SCAN_GRID, exprlang.as_function(expr)(SCAN_GRID))
+    except exprlang.ExprError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    return expr
 
 
 def build_operator(cfg: dict) -> OperatorSpec:
@@ -96,28 +107,19 @@ def build_operator(cfg: dict) -> OperatorSpec:
     alpha = _require(cfg, "space.alpha")
     beta = _require(cfg, "space.beta")
     fundamental = _require(cfg, "space.fundamental_type")
-    tol_zero = _require(cfg, "tolerances.zero")
-    tol_flat = _require(cfg, "tolerances.flat")
 
     try:
         shift = Shift.from_lift(lift, orientation=orientation)
     except (exprlang.ExprError, StructureError) as exc:
         raise ConfigError(f"shift.lift: {exc}") from exc
-    try:
-        a = exprlang.parse(a_text)
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"a: {exc}") from exc
-    try:
-        b = exprlang.parse(b_text)
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"b: {exc}") from exc
+    a = _coefficient("a", a_text)
+    b = _coefficient("b", b_text)
     try:
         space = space_indices(alpha, beta, fundamental)
     except ValueError as exc:
         raise ConfigError(f"space.alpha/space.beta: {exc}") from exc
     try:
-        structure = compute_periodic_structure(shift, tol=tol_zero, flat_tol=tol_flat)
-        return operator_spec(a, b, shift, space, structure=structure)
+        return operator_spec(a, b, shift, space)
     except (StructureError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -279,7 +281,8 @@ def run(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    # EvalDomainError: an input expression undefined where no check evaluated it
+    except (ConfigError, exprlang.EvalDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

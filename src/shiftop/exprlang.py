@@ -34,8 +34,8 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
 
-# find_zeros' defaults, shared by every zero and periodic-structure scan and
-# by the CLI's tolerances block: bisection width, flat band, grid cells
+# the tolerances of every zero and periodic-structure scan (find_zeros):
+# bisection width, flat band, and the default number of grid cells
 ZERO_TOL = 1e-12
 FLAT_TOL = 1e-11
 SCAN_CELLS = 4096
@@ -464,8 +464,8 @@ class ZeroHit:
     """One zero of a scanned function.
 
     kind is "crossing" for a sign change, "tangential" for a refined
-    touch/near-touch of zero (always suspect), or "interval" for a flat
-    stretch inside the flat tolerance band.
+    touch or near-touch of zero (suspect: it may be a dip that misses
+    zero), or "interval" for a flat stretch inside FLAT_TOL.
     """
 
     location: float
@@ -473,7 +473,6 @@ class ZeroHit:
     value: float = 0.0
     lo: float | None = None
     hi: float | None = None
-    suspect: bool = False
 
     def certain(self) -> bool:
         """Whether the hit is definitely a zero (vs an ambiguous near-zero dip)."""
@@ -518,13 +517,12 @@ def _refine_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
-               cells: int = SCAN_CELLS, flat_tol: float = FLAT_TOL) -> list[ZeroHit]:
+def find_zeros(e, lo: float, hi: float, cells: int = SCAN_CELLS) -> list[ZeroHit]:
     """Locate zeros of e on the half-open interval [lo, hi).
 
-    Grid scan (``cells`` cells) plus bisection of sign changes to ``tol``;
+    Grid scan (``cells`` cells) plus bisection of sign changes to ZERO_TOL;
     grid-local minima of |e| small enough to be candidate tangencies are
-    refined and flagged suspect; runs of samples inside ``flat_tol`` become
+    refined into "tangential" hits; runs of samples inside FLAT_TOL become
     interval records.  A zero at ``hi`` is excluded (on periodic inputs it
     coincides with ``lo``).
     """
@@ -539,7 +537,7 @@ def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
     node_atol = 1e-13 * scale
     screen = scale * (10.0 / cells) ** 2
 
-    flat = np.abs(fx) <= flat_tol
+    flat = np.abs(fx) <= FLAT_TOL
     hits: list[ZeroHit] = []
     in_flat = np.zeros(cells + 1, dtype=bool)
 
@@ -553,12 +551,12 @@ def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
             if j - i >= 2:
                 a = xs[i]
                 if i > 0:
-                    g = lambda x: abs(fn(x)) - flat_tol
-                    a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), tol)
+                    g = lambda x: abs(fn(x)) - FLAT_TOL
+                    a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), ZERO_TOL)
                 b = xs[j]
                 if j < cells:
-                    g = lambda x: abs(fn(x)) - flat_tol
-                    b = _bisect(g, xs[j], xs[j + 1], -flat_tol, g(xs[j + 1]), tol)
+                    g = lambda x: abs(fn(x)) - FLAT_TOL
+                    b = _bisect(g, xs[j], xs[j + 1], -FLAT_TOL, g(xs[j + 1]), ZERO_TOL)
                 hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
                 in_flat[i:j + 1] = True
             i = j + 1
@@ -574,12 +572,12 @@ def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
         left = sgn[i - 1] if i > 0 else 0
         right = sgn[i + 1] if i < cells else 0
         kind = "tangential" if (left != 0 and left == right) else "crossing"
-        hits.append(ZeroHit(xs[i], kind, float(fx[i]), suspect=kind == "tangential"))
+        hits.append(ZeroHit(xs[i], kind, float(fx[i])))
     for i in range(cells):
         if in_flat[i] or in_flat[i + 1]:
             continue
         if sgn[i] != 0 and sgn[i + 1] != 0 and sgn[i] != sgn[i + 1]:
-            x = _bisect(fn, xs[i], xs[i + 1], fx[i], fx[i + 1], tol)
+            x = _bisect(fn, xs[i], xs[i + 1], fx[i], fx[i + 1], ZERO_TOL)
             hits.append(ZeroHit(x, "crossing", fn(x)))
 
     # tangential candidates: small interior local minima of |f| without sign change
@@ -588,17 +586,17 @@ def find_zeros(e, lo: float, hi: float, tol: float = ZERO_TOL,
         if in_flat[i] or sgn[i] == 0 or sgn[i - 1] != sgn[i] or sgn[i] != sgn[i + 1]:
             continue
         if absf[i] <= screen and absf[i] < absf[i - 1] and absf[i] <= absf[i + 1]:
-            x, v = _refine_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], tol)
+            x, v = _refine_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], ZERO_TOL)
             if v <= screen:
-                hits.append(ZeroHit(x, "tangential", v, suspect=True))
+                hits.append(ZeroHit(x, "tangential", v))
 
     # dedup points, drop anything at hi, keep intervals as-is
     points = sorted((h for h in hits if h.kind != "interval"), key=lambda h: h.location)
     merged: list[ZeroHit] = []
     span = hi - lo
-    dedup = max(10 * tol, 1e-12 * span)
+    dedup = max(10 * ZERO_TOL, 1e-12 * span)
     for h in points:
-        if h.location >= hi - max(tol, 1e-12 * span):
+        if h.location >= hi - max(ZERO_TOL, 1e-12 * span):
             continue
         if merged and h.location - merged[-1].location <= dedup:
             if merged[-1].kind == "tangential" and h.kind == "crossing":

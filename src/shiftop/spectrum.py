@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import ZERO_TOL, _refine_min, as_function, check_finite, find_zeros
-from .circle import GammaArc, PeriodicStructure, Shift, orbit_product, wrap
+from .circle import (GammaArc, PeriodicStructure, Shift, detect_orientation_and_multiplicity,
+                     orbit_product, wrap)
 from .indices import SpaceIndices
 
 __all__ = ["Annulus", "SpectrumSet", "radius_bound",
@@ -152,7 +153,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
         invertible = min_abs > GC_THRESHOLD
         if invertible:
             hits = find_zeros(d_m, g.start, g.end, cells=samples)
-            if any(h.kind == "interval" or h.certain() for h in hits):
+            if any(h.certain() for h in hits):
                 invertible = False
         if invertible:
             raw.append(Annulus(delta_min ** (1.0 / m), Delta_max ** (1.0 / m)))
@@ -170,9 +171,12 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
 def one_sided_core_annuli(shift: Shift, arc: GammaArc,
                           x: SpaceIndices) -> tuple[Annulus, Annulus]:
     """Intersection of the left and right spectra of W on X(arc): one
-    annulus per endpoint fixed point, degenerating to circles when the
-    indices coincide."""
-    return tuple(Annulus(*x.dilation_pair(shift.deriv(tau)))
+    annulus per endpoint fixed point of alpha_m, the endpoint annulus that
+    shift_spectrum gives the weight 1, degenerating to circles when the
+    indices coincide.  m is the shift's multiplicity."""
+    m = detect_orientation_and_multiplicity(shift)[1]
+    one = lambda t: 1.0
+    return tuple(Annulus(*(r ** (1.0 / m) for r in _delta_Delta(one, shift, m, x, tau)))
                  for tau in (arc.tau_minus, arc.tau_plus))
 
 

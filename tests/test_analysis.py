@@ -145,7 +145,7 @@ class TestPartition:
         # eta1(0) = 0 exactly: |a| = max dilation factor at 0
         a0 = max(ALPHA_PRIME_0 ** (-1 / 3), ALPHA_PRIME_0 ** (-1 / 2))
         op = so.operator_spec(lambda t: a0 + 0.0 * np.asarray(t), "1", s1, idx,
-                              structure=s1_structure, validate=False)
+                              structure=s1_structure)
         part = so.build_partition(op)
         regions = {round(p, 6): c.region for p, c in part.points}
         assert regions[0.0] == "degenerate"
@@ -184,7 +184,7 @@ class TestRL:
 
     def test_shared_zero_fails_R_not_L(self, s1, s1_structure, idx):
         sh = lambda t: np.sin(2 * np.pi * (np.asarray(t) - 0.3))
-        op = so.operator_spec(sh, sh, s1, idx, structure=s1_structure, validate=False)
+        op = so.operator_spec(sh, sh, s1, idx, structure=s1_structure)
         arc = [s1_structure.gamma[0]]
         holds, witness = so.check_R(op, arc)
         assert not holds
@@ -197,7 +197,7 @@ class TestRL:
         # a zero at 0.3, b zero at 0.1: forward orbit of 0.3 stays in (0.3, 0.5)
         a_fn = lambda t: np.sin(2 * np.pi * (np.asarray(t) - 0.3))
         b_fn = lambda t: np.sin(2 * np.pi * (np.asarray(t) - 0.1))
-        op = so.operator_spec(a_fn, b_fn, s1, idx, structure=s1_structure, validate=False)
+        op = so.operator_spec(a_fn, b_fn, s1, idx, structure=s1_structure)
         holds, _ = so.check_R(op, [s1_structure.gamma[0]])
         assert holds
 
@@ -205,7 +205,7 @@ class TestRL:
         q = s1.apply(0.1, 3)
         b_fn = lambda t: np.sin(2 * np.pi * (np.asarray(t) - 0.1))
         a_fn = lambda t: np.sin(2 * np.pi * (np.asarray(t) - q))
-        op = so.operator_spec(a_fn, b_fn, s1, idx, structure=s1_structure, validate=False)
+        op = so.operator_spec(a_fn, b_fn, s1, idx, structure=s1_structure)
         holds, witness = so.check_L(op, [s1_structure.gamma[0]])
         assert not holds
         assert witness["n"] == 3

@@ -170,7 +170,7 @@ class TestDetect:
         # golden-ratio-like rotation: no periodic points at any multiplicity
         rot = so.Shift.from_lift("t+0.6180339887498949")
         with pytest.raises(so.NoPeriodicStructureError):
-            so.detect_orientation_and_multiplicity(rot, m_max=12)
+            so.detect_orientation_and_multiplicity(rot)
 
     @pytest.mark.parametrize("lift", [
         "t+0.1*sin(2*pi*t)", "t+0.05*sin(4*pi*t)", "t+0.03+0.1*sin(2*pi*t)", "t+0.5",

@@ -64,9 +64,9 @@ class TestAnalyze:
         assert "shift.lift" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, field", [
-        # tolerances.band is a retired field, flatt and orcale are misspelt
-        ({"tolerances": {"zero": 1e-12, "band": 0.5, "flatt": 1.0}}, "tolerances.band"),
-        ({"tolerances": {"flatt": 1e-11}}, "tolerances.flatt"),
+        # the tolerances block is retired, flatt and orcale are misspelt
+        ({"tolerances": {"zero": 1e-12, "flat": 1e-11}}, "tolerances"),
+        ({"space": {"flatt": 1e-11}}, "space.flatt"),
         ({"orcale": {"seed": 1}}, "orcale"),
     ])
     def test_unknown_field_exit_2(self, tmp_path, capsys, overrides, field):
@@ -78,7 +78,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("overrides, field", [
         ({"space": {"alpha": True, "beta": 0.5}}, "space.alpha"),
-        ({"tolerances": {"zero": False}}, "tolerances.zero"),
+        ({"space": {"beta": False}}, "space.beta"),
     ])
     def test_bool_in_numeric_field_exit_2(self, tmp_path, capsys, overrides, field):
         code = cli.run(["analyze", "-c", write_config(tmp_path, **overrides)])
@@ -93,15 +93,19 @@ class TestAnalyze:
         assert out["verdict"] == "undecidable"
         assert code == 3
 
-    def test_default_tolerances_written_out(self, tmp_path, capsys):
-        # fixed points off the scan grid, so tolerances.zero shows in the bytes
-        shift = {"lift": "t+0.1*sin(2*pi*(t-0.123))"}
-        outs = []
-        for tolerances in ({}, {"tolerances": {"zero": 1e-12, "flat": 1e-11}}):
-            code = cli.run(["analyze", "-c", write_config(tmp_path, shift=shift, **tolerances)])
-            assert code == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_coefficient_not_finite_exit_2(self, tmp_path, capsys, command):
+        # 1-periodic, but undefined at t = 0.5, a node of the scan grid
+        err = run_error([command, "-c", write_config(tmp_path, a="1/(t-0.5)^2")], capsys)
+        assert err == "config error: a: division by zero in (1.0 / ((t - 0.5) ^ 2.0)) at t=0.5\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_coefficient_not_finite_between_nodes_exit_2(self, tmp_path, capsys, command):
+        # a is undefined only within 3.2e-6 of t = 2049/8192, between two nodes
+        # of the scan grid; the sigma_A scan of the Gamma2 arc (0, 0.5) meets it
+        a = "sqrt((sin(pi*(t-0.2501220703125)))^2-1e-10)"
+        err = run_error([command, "-c", write_config(tmp_path, a=a, b="0.3")], capsys)
+        assert err == "config error: non-finite evaluation at t=0.2501220703125\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -158,6 +162,16 @@ class TestConfigTable:
     def test_unknown_subkey_exit_2(self, tmp_path, capsys, section):
         err = run_error(["analyze", "-c", config_with(tmp_path, f"{section}.bogus", 1)], capsys)
         assert err == f"config error: unknown config field {section}.bogus\n"
+
+    @pytest.mark.parametrize("section, value", [
+        ("oracle", [64, 128, 256]),
+        ("shift", "t+0.1*sin(2*pi*t)"),
+        ("space", [1 / 3, 0.5]),
+    ])
+    def test_section_not_object_exit_2(self, tmp_path, capsys, section, value):
+        err = run_error(["analyze", "-c", config_with(tmp_path, section, value)], capsys)
+        got = type(value).__name__
+        assert err == f"config error: config field {section} must be object, got {got}\n"
 
 
 class TestDecompose:

@@ -1,5 +1,5 @@
 """The README's library quick start runs and prints what its comments show,
-and its CLI config is accepted as documented."""
+and its CLI config is accepted as documented and lists every config field."""
 
 import contextlib
 import io
@@ -43,3 +43,17 @@ def test_cli_config_runs(tmp_path, command):
         code = cli.run([command, "-c", str(path)])
     assert code == 0
     assert json.loads(out.getvalue())["verdict"] == "right_only"
+
+
+def test_cli_config_lists_every_field():
+    text = README.read_text(encoding="utf-8")
+    cfg = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+    def paths(node, prefix=""):
+        for key, val in node.items():
+            if isinstance(val, dict):
+                yield from paths(val, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert sorted(paths(cfg)) == sorted(cli.CONFIG_FIELDS)

@@ -150,11 +150,15 @@ class TestOneSidedCore:
             assert a.r_in == pytest.approx(1.0) and a.r_out == pytest.approx(1.0)
 
     def test_contained_in_full_spectrum(self, s1, s1_structure, idx):
-        ss = so.shift_spectrum(so.parse("1"), s1, s1_structure, idx)
-        for g in s1_structure.gamma:
-            for a in so.one_sided_core_annuli(s1, g, idx):
-                assert any(big.r_in <= a.r_in + 1e-12 and a.r_out <= big.r_out + 1e-12
-                           for big in ss.raw_annuli)
+        # S1 (m = 1) and a lift whose periodic points have multiplicity 2
+        m2 = so.Shift.from_lift("t+0.5+0.05*sin(4*pi*t)+0.03*cos(2*pi*t)")
+        for shift, ps, m in ((s1, s1_structure, 1), (m2, so.compute_periodic_structure(m2), 2)):
+            assert ps.m == m
+            ss = so.shift_spectrum(so.parse("1"), shift, ps, idx)
+            for g in ps.gamma:
+                for a in so.one_sided_core_annuli(shift, g, idx):
+                    assert any(big.r_in <= a.r_in + 1e-12 and a.r_out <= big.r_out + 1e-12
+                               for big in ss.raw_annuli), (m, g)
 
 
 class TestMembership:
