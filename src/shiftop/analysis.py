@@ -9,11 +9,10 @@ periodic points of any multiplicity are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .exprlang import as_function, find_zeros, is_periodic, parse
+from .exprlang import Fn, find_zeros, is_periodic, parse
 from .circle import (POINT_TOL, Arc, GammaArc, PeriodicStructure, Shift, StructureError,
                      circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
@@ -38,17 +37,12 @@ class UndecidableError(StructureError):
     """Raised internally when a quantity sits inside a tolerance band."""
 
 
-def _coeff(c):
-    """A coefficient (string, Expr or callable) as a vectorized function."""
-    return as_function(parse(c) if isinstance(c, str) else c)
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """Full description of A = a*I - b*W on X(circle)."""
 
-    a: Callable
-    b: Callable
+    a: Fn
+    b: Fn
     shift: Shift
     structure: PeriodicStructure
     space: SpaceIndices
@@ -60,22 +54,19 @@ class OperatorSpec:
 
 def operator_spec(a, b, shift, space: SpaceIndices,
                   structure: PeriodicStructure | None = None) -> OperatorSpec:
-    """OperatorSpec of 1-periodic a and b (else ValueError); detects the structure if None."""
+    """OperatorSpec of 1-periodic a and b (else ValueError), as the Fn leaves
+    "a" and "b"; detects the structure if None."""
     from .circle import compute_periodic_structure
 
     if isinstance(shift, str):
         shift = Shift.from_lift(shift)
-    a_fn, b_fn = _coeff(a), _coeff(b)
+    a, b = (parse(c) if isinstance(c, str) else c for c in (a, b))
     if structure is None:
         structure = compute_periodic_structure(shift)
-    for name, fn in (("a", a_fn), ("b", b_fn)):
-        if not is_periodic(fn):
+    for name, c in (("a", a), ("b", b)):
+        if not is_periodic(c):
             raise ValueError(f"coefficient {name} is not 1-periodic")
-    return OperatorSpec(a_fn, b_fn, shift, structure, space)
-
-
-def _orbit_fn(f, shift: Shift, m: int) -> Callable:
-    return lambda t: orbit_product(f, shift, m, t)
+    return OperatorSpec(Fn.of(a, "a"), Fn.of(b, "b"), shift, structure, space)
 
 
 def eta_values(op: OperatorSpec, t):
@@ -189,11 +180,6 @@ def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> flo
     return _region_sigma_fn(op, region)(t)
 
 
-def _arc_zeros(fn, arc: Arc):
-    """Zeros of a periodic function restricted to an arc (arc coordinates)."""
-    return find_zeros(lambda x: fn(wrap(x)), arc.start, arc.end)
-
-
 def _filter_near_y(hits, ps: PeriodicStructure):
     out = []
     for h in hits:
@@ -215,8 +201,7 @@ def _coefficient_zeros(op: OperatorSpec, coeff_fn, arcs) -> tuple[list[float], b
     zeros: list[float] = []
     suspect = False
     for arc in arcs:
-        hits = _arc_zeros(coeff_fn, arc)
-        for h in hits:
+        for h in find_zeros(coeff_fn.wrap(), arc.start, arc.end):   # in arc coordinates
             # flat stretches and tangential zeros make the orbit pattern ambiguous
             if h.kind != "crossing":
                 suspect = True
@@ -242,7 +227,8 @@ def _orbit_hits(op: OperatorSpec, p: float, q: float, n_min: int) -> int | None:
     alpha_m maps each moving arc onto itself, so an orbit that misses q's
     arc in its first m steps never reaches q.  Inside that arc, iteration
     stops once the orbit has passed q on the attractor side (forward orbits
-    are monotone within each component).
+    are monotone within each component).  An orbit still short of q after
+    ORBIT_GUARD_RL steps raises UndecidableError: it may yet reach q.
     """
     ps = op.structure
     if ps.in_lambda(p, tol=ORBIT_MATCH_TOL) or ps.in_lambda(q, tol=ORBIT_MATCH_TOL):
@@ -265,7 +251,8 @@ def _orbit_hits(op: OperatorSpec, p: float, q: float, n_min: int) -> int | None:
             if passed:
                 return None
         z = op.shift.apply(z, 1)
-    return None
+    raise UndecidableError(f"orbit of p={float(p)!r} still short of q={float(q)!r} "
+                           f"after {ORBIT_GUARD_RL} steps")
 
 
 def check_R(op: OperatorSpec, arcs) -> tuple[bool, dict | None]:
@@ -327,14 +314,10 @@ class InvertibilityReport:
         }
 
 
-def _region_sigma_fn(op: OperatorSpec, region: str) -> Callable:
-    am = _orbit_fn(op.a, op.shift, op.m)
-    bm = _orbit_fn(op.b, op.shift, op.m)
-    if region == GAMMA1:
-        return lambda t: am(t) - bm(t)
-    if region == GAMMA2:
-        return am
-    return lambda t: -bm(t)
+def _region_sigma_fn(op: OperatorSpec, region: str) -> Fn:
+    """sigma_A on a region: a_m - b_m on Gamma1, a_m on Gamma2, -b_m on Gamma3."""
+    am, bm = op.a.orbit(op.shift, op.m), op.b.orbit(op.shift, op.m)
+    return am - bm if region == GAMMA1 else am if region == GAMMA2 else -bm
 
 
 def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
@@ -361,9 +344,8 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
     for region, arc in regions:
         fn = _region_sigma_fn(op, region)
         record(region, fn(wrap(np.linspace(arc.start, arc.end, 257))))
-        full_circle_arc = arc.length == 1.0
-        hits = _arc_zeros(fn, arc)
-        if not full_circle_arc:
+        hits = find_zeros(fn.wrap(), arc.start, arc.end)
+        if arc.length != 1.0:   # not the full circle
             hits = _filter_near_y(hits, ps)
         for h in hits:
             if h.certain():
@@ -496,13 +478,8 @@ def adjoint_spec(op: OperatorSpec) -> OperatorSpec:
     """The adjoint operator's spec: coefficients (a, b(alpha_{-1})|alpha_{-1}'|),
     shift alpha_{-1}, associate space indices (real coefficients assumed)."""
     inv = op.shift.inverse()
-    b_fn = op.b
-
-    def b_star(t):
-        # |alpha_{-1}'(t)| = 1/|alpha'(x)| at x = alpha_{-1}(t): one inverse solve
-        x = inv.apply(t, 1)
-        return b_fn(x) * np.abs(1.0 / op.shift.deriv(x))
-
+    # |alpha_{-1}'(t)| = 1/|alpha'(x)| at x = alpha_{-1}(t): one inverse solve
+    b_star = (op.b * abs(1.0 / Fn(op.shift.deriv, "alpha'"))).compose(inv, 1)
     # attraction reverses under the inverse shift
     gamma = tuple(GammaArc(g.start, g.end, g.tau_plus, g.tau_minus)
                   for g in op.structure.gamma)
@@ -522,26 +499,18 @@ def reduce_to_fixed(op: OperatorSpec) -> tuple[OperatorSpec, bool]:
         return op, True
 
     shift_m = op.shift.power(m)
-    a_m = _orbit_fn(op.a, op.shift, m)
-    b_fn = op.b
-
-    def b_m_shifted(t):
-        return orbit_product(b_fn, op.shift, m, op.shift.apply(t, m - 1))
-
-    structure_m = replace(op.structure, m=1, orientation=1)
-    op_m = OperatorSpec(a_m, b_m_shifted, shift_m, structure_m, op.space)
+    b_m_shifted = op.b.orbit(op.shift, m).compose(op.shift, m - 1)
+    op_m = OperatorSpec(op.a.orbit(op.shift, m), b_m_shifted, shift_m,
+                        replace(op.structure, m=1, orientation=1), op.space)
 
     partition = build_partition(op)
     arcs4 = partition.arcs_in(GAMMA4)
     cond = True
     for i in range(1, m):
-        def joint(t, i=i):
-            ai = np.abs(orbit_product(op.a, op.shift, i, t))
-            return ai + np.abs(b_fn(op.shift.apply(t, i - 1)))
+        joint = abs(op.a.orbit(op.shift, i)) + abs(op.b.compose(op.shift, i - 1))
         for arc in arcs4:
             samples = wrap(np.linspace(arc.start, arc.end, 2049))
-            vals = joint(samples)
-            if float(np.min(vals)) <= SIGN_BAND:
+            if float(np.min(joint(samples))) <= SIGN_BAND:
                 cond = False
         if not cond:
             break

@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import SCAN_CELLS, ZERO_TOL, ZeroHit, as_function, differentiate, find_zeros, parse
+from .exprlang import (SCAN_CELLS, ZERO_TOL, Fn, ZeroHit, as_function, differentiate, find_zeros,
+                       parse)
 
 __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
@@ -233,14 +234,8 @@ class Shift:
             raise ValueError("power requires m >= 1")
         if m == 1:
             return self
-
-        def lift_ext(x):
-            for _ in range(m):
-                x = self.lift_ext(x)
-            return x
-
-        return Shift(lift_ext, lambda t: orbit_product(self.deriv, self, m, t),
-                     self.orientation ** m)
+        return Shift(lambda x: _lift_power(self, m, x),
+                     lambda t: orbit_product(self.deriv, self, m, t), self.orientation ** m)
 
     def apply(self, t, k: int = 1):
         """alpha_k(t); negative k through the inverse lift."""
@@ -251,6 +246,13 @@ class Shift:
         for _ in range(abs(k)):
             t = wrap(lift(t))
         return t
+
+
+def _lift_power(shift: Shift, m: int, x):
+    """L^m(x): the extended lift applied m times, no wrap."""
+    for _ in range(m):
+        x = shift.lift_ext(x)
+    return x
 
 
 def orbit_product(f, shift: Shift, m: int, t):
@@ -349,9 +351,7 @@ def _periodic_branches(shift: Shift) -> tuple[int, list[int]]:
         umin, umax = float(np.min(u)), float(np.max(u))
         for i in (int(np.argmin(u)), int(np.argmax(u))):
             fine = np.linspace(SCAN_GRID[max(i - 1, 0)], SCAN_GRID[min(i + 1, SCAN_CELLS)], 65)
-            yf = fine
-            for _ in range(j):
-                yf = shift.lift_ext(yf)
+            yf = _lift_power(shift, j, fine)
             umin = min(umin, float(np.min(yf - fine)))
             umax = max(umax, float(np.max(yf - fine)))
         branches = list(range(math.ceil(umin - 1e-7), math.floor(umax + 1e-7) + 1))
@@ -373,17 +373,11 @@ def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
     uncertain; downstream verdicts refuse to decide on uncertain structures.
     """
     m, branches = _periodic_branches(shift)
-
-    def v(x, n):
-        """L^m(x) - x - n, zero at the fixed points of alpha_m on lift branch n."""
-        y = x
-        for _ in range(m):
-            y = shift.lift_ext(y)
-        return y - x - n
-
+    # L^m(x) - x - n is zero at the fixed points of alpha_m on lift branch n
+    moved = Fn.of(lambda x: _lift_power(shift, m, x), "shift.lift") - Fn(lambda x: x, "t")
     found: list[tuple[int, list[ZeroHit]]] = []
     for n in branches:
-        hits = find_zeros(lambda x, n=n: v(x, n), 0.0, 1.0)
+        hits = find_zeros(moved - n, 0.0, 1.0)
         if hits:
             found.append((n, hits))
     if not found:
@@ -435,7 +429,7 @@ def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
         if length <= touch:
             continue
         arc = Arc(wrap(b), wrap(b) + length)
-        if v(arc.midpoint(), n) > 0:
+        if moved(arc.midpoint()) - n > 0:
             tau_minus, tau_plus = wrap(arc.start), wrap(arc.end)
         else:
             tau_minus, tau_plus = wrap(arc.end), wrap(arc.start)

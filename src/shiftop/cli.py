@@ -7,13 +7,14 @@ Subcommands: analyze, spectrum, decompose, radius, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import exprlang
-from .circle import SCAN_GRID, Shift, StructureError
+from .circle import Shift, StructureError
 from .indices import lebesgue, space_indices
 from .analysis import OperatorSpec, decide, operator_spec
 from .spectrum import SAMPLES, radius_bound, shift_spectrum, spectrum_to_csv
@@ -86,14 +87,15 @@ def _check_fields(cfg: dict):
                     raise ConfigError(f"unknown config field {key}.{sub}")
 
 
-def _coefficient(name: str, text: str) -> exprlang.Expr:
-    """Coefficient a or b, parsed and checked finite on the scan grid."""
+@contextmanager
+def _input_errors(name: str):
+    """A ValueError is a config error; a parse error names the input (a domain error its Fn)."""
     try:
-        expr = exprlang.parse(text)
-        exprlang.check_finite(expr, SCAN_GRID, exprlang.as_function(expr)(SCAN_GRID))
-    except exprlang.ExprError as exc:
+        yield
+    except exprlang.ParseError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    return expr
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_operator(cfg: dict) -> OperatorSpec:
@@ -112,8 +114,10 @@ def build_operator(cfg: dict) -> OperatorSpec:
         shift = Shift.from_lift(lift, orientation=orientation)
     except (exprlang.ExprError, StructureError) as exc:
         raise ConfigError(f"shift.lift: {exc}") from exc
-    a = _coefficient("a", a_text)
-    b = _coefficient("b", b_text)
+    with _input_errors("a"):
+        a = exprlang.parse(a_text)
+    with _input_errors("b"):
+        b = exprlang.parse(b_text)
     try:
         space = space_indices(alpha, beta, fundamental)
     except ValueError as exc:
@@ -135,7 +139,8 @@ def _round_floats(obj):
 
 
 def dump_json(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON; a non-finite float raises ValueError (it is not JSON)."""
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: str | None):
@@ -177,35 +182,24 @@ def cmd_decompose(args) -> int:
     return EXIT_UNDECIDABLE if op.structure.uncertain else EXIT_OK
 
 
-@contextmanager
-def _weight_errors():
-    """An expression error names --weight; any other ValueError is a config error."""
-    try:
-        yield
-    except exprlang.ExprError as exc:
-        raise ConfigError(f"--weight: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_spectrum(args) -> int:
     op = build_operator(load_config(args.config))
-    with _weight_errors():
-        ss = shift_spectrum(exprlang.parse(args.weight), op.shift, op.structure, op.space,
-                            samples=args.samples)
+    with _input_errors("--weight"):
+        weight = exprlang.Fn.of(exprlang.parse(args.weight), "--weight")
+        ss = shift_spectrum(weight, op.shift, op.structure, op.space, samples=args.samples)
     _emit(spectrum_to_csv(ss), args.output)
     return EXIT_OK
 
 
 def cmd_radius(args) -> int:
     op = build_operator(load_config(args.config))
-    with _weight_errors():
-        weight = exprlang.parse(args.weight)
+    with _input_errors("--weight"):
+        weight = exprlang.Fn.of(exprlang.parse(args.weight), "--weight")
     try:
         lp = lebesgue(args.p)
     except ValueError as exc:
         raise ConfigError(f"--p: {exc}") from exc
-    with _weight_errors():
+    with _input_errors("--weight"):
         payload = {
             "p": args.p,
             "radius_lebesgue": radius_bound(weight, op.shift, op.structure, lp),
@@ -246,6 +240,7 @@ def cmd_verify(args) -> int:
     return EXIT_UNDECIDABLE if report.verdict == "undecidable" else EXIT_OK
 
 
+@functools.cache   # one parser, built on the first call, for every run
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftop",

@@ -12,12 +12,14 @@ associativity; the canonical serialization is fully parenthesized infix.
 function of t in the package follows its convention: a float in gives a
 float out, and an ndarray in gives an ndarray of the same shape out.
 ``evaluate`` is the exact scalar reference that names the node and the t
-of a domain error.
+of a domain error.  ``Fn`` is the checked function type of everything a
+verdict, a spectrum or the oracle evaluates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -27,9 +29,9 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Pi", "Var", "Unary", "Binary",
     "ExprError", "ParseError", "EvalDomainError",
-    "parse", "serialize", "evaluate", "as_function", "check_finite",
+    "parse", "serialize", "evaluate", "as_function", "check_finite", "Fn",
     "differentiate", "is_periodic",
-    "ZeroHit", "find_zeros", "zero_points",
+    "ZeroHit", "find_zeros",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
@@ -248,6 +250,12 @@ def serialize(e: Expr) -> str:
     return f"({serialize(e.left)} {e.op} {serialize(e.right)})"
 
 
+_SCALAR_UNARY = {"neg": operator.neg, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "log": math.log, "abs": abs, "sqrt": math.sqrt}
+_SCALAR_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                  "/": operator.truediv, "^": math.pow}
+
+
 def evaluate(e: Expr, t: float) -> float:
     """Evaluate at a scalar t with precise domain-error reporting."""
     if isinstance(e, Num):
@@ -258,51 +266,28 @@ def evaluate(e: Expr, t: float) -> float:
         return float(t)
     if isinstance(e, Unary):
         x = evaluate(e.arg, t)
+        if e.op == "log" and x <= 0.0:
+            raise EvalDomainError("log of non-positive value", e, t)
+        if e.op == "sqrt" and x < 0.0:
+            raise EvalDomainError("sqrt of negative value", e, t)
+        if e.op not in _SCALAR_UNARY:
+            raise ExprError(f"unknown unary operator {e.op!r}")
         try:
-            if e.op == "neg":
-                return -x
-            if e.op == "sin":
-                return math.sin(x)
-            if e.op == "cos":
-                return math.cos(x)
-            if e.op == "exp":
-                return math.exp(x)
-            if e.op == "log":
-                if x <= 0.0:
-                    raise EvalDomainError("log of non-positive value", e, t)
-                return math.log(x)
-            if e.op == "abs":
-                return abs(x)
-            if e.op == "sqrt":
-                if x < 0.0:
-                    raise EvalDomainError("sqrt of negative value", e, t)
-                return math.sqrt(x)
+            return _SCALAR_UNARY[e.op](x)
         except OverflowError:
             raise EvalDomainError("overflow", e, t) from None
-        raise ExprError(f"unknown unary operator {e.op!r}")
     if isinstance(e, Binary):
-        a = evaluate(e.left, t)
-        b = evaluate(e.right, t)
+        a, b = evaluate(e.left, t), evaluate(e.right, t)
+        if e.op == "/" and b == 0.0:
+            raise EvalDomainError("division by zero", e, t)
+        if e.op not in _SCALAR_BINARY:
+            raise ExprError(f"unknown binary operator {e.op!r}")
         try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                if b == 0.0:
-                    raise EvalDomainError("division by zero", e, t)
-                return a / b
-            if e.op == "^":
-                return math.pow(a, b)
-        except EvalDomainError:
-            raise
+            return _SCALAR_BINARY[e.op](a, b)
         except OverflowError:
             raise EvalDomainError("overflow", e, t) from None
         except ValueError:
             raise EvalDomainError("invalid power", e, t) from None
-        raise ExprError(f"unknown binary operator {e.op!r}")
     raise ExprError(f"malformed node {e!r}")
 
 
@@ -331,9 +316,7 @@ def as_function(e) -> Callable:
 
     A float in gives a float out; an ndarray in gives an ndarray of the
     same shape out, also for t-free expressions.  Domain violations surface
-    as non-finite values; scanning code checks for those and re-evaluates
-    pointwise with ``evaluate`` for a precise error, through the source
-    Expr that the compiled function keeps as ``fn.expr``.
+    as non-finite values, which ``Fn`` leaves check.
     """
     if callable(e):
         return e
@@ -347,25 +330,110 @@ def as_function(e) -> Callable:
         with np.errstate(all="ignore"):
             return body(t)
 
-    fn.expr = e
     return fn
 
 
 def check_finite(e, ts, values) -> None:
-    """Raise EvalDomainError at the first t whose value is not finite.
-
-    ``values`` were computed from e (an Expr or a callable) at ``ts``; an
-    Expr, or the Expr a function from ``as_function`` was compiled from, is
-    re-evaluated there with ``evaluate`` so the error names the offending
-    node.
-    """
+    """Raise EvalDomainError at the first t whose value (of e at ts) is not
+    finite; an Expr e is re-evaluated there to name the offending node."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         t = float(np.atleast_1d(ts)[np.atleast_1d(bad)][0])
-        expr = getattr(e, "expr", None) if callable(e) else e
-        if expr is not None:
-            evaluate(expr, t)
+        if e is not None and not callable(e):
+            evaluate(e, t)
         raise EvalDomainError("non-finite evaluation", t=t)
+
+
+def _checked(call: Callable, name: str | None, expr=None) -> Callable:
+    """call, whose non-finite values raise EvalDomainError prefixed with name."""
+    def checked(t):
+        v = call(t)
+        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            try:
+                check_finite(expr, t, v)
+            except EvalDomainError as exc:
+                if name:
+                    exc.args = (f"{name}: {exc}",)
+                raise
+        return v
+    return checked
+
+
+def _divide(x, y):
+    with np.errstate(all="ignore"):
+        return np.divide(x, y)   # a zero divisor gives inf, never ZeroDivisionError
+
+
+def _binary(op: Callable, sym: str, swap: bool = False) -> Callable:
+    """The Fn method op(self, c), op(c, self) with swap; a number c is constant."""
+    def method(self, c):
+        other = c if isinstance(c, Fn) else Fn(lambda t: c, repr(c))
+        x, y = (other, self) if swap else (self, other)
+        xc, yc, name = x._call, y._call, f"({x.name} {sym} {y.name})"
+        call = lambda t: op(xc(t), yc(t))
+        return Fn(_checked(call, name) if op is _divide else call, name)
+    return method
+
+
+class Fn:
+    """A function of t that a verdict, a spectrum or the oracle evaluates.
+
+    A leaf (``Fn.of``) is what ``as_function`` returns for a coefficient,
+    weight or right-hand side, with a label such as ``a`` or ``--weight``.
+    Where a leaf's or a quotient's value is not finite, EvalDomainError
+    names the label (or the quotient), the failing subexpression and the t.
+    Nodes give + - * /, unary minus, abs, wrap, composition f(alpha_k(t))
+    and the orbit product f_m, with the float operations of the plain
+    expression.  ``Fn(call, name)`` is an unchecked node, for the shift's
+    own functions.
+    """
+
+    __slots__ = ("_call", "name")
+
+    def __init__(self, call: Callable, name: str):
+        self._call, self.name = call, name
+
+    def __call__(self, t):
+        return self._call(t)
+
+    @classmethod
+    def of(cls, e, label: str | None = None) -> "Fn":
+        """e itself if an Fn, else the checked leaf of an Expr or a callable."""
+        if isinstance(e, Fn):
+            return e
+        # as_function is looked up at call time: a wrapper installed on it sees every leaf
+        expr = None if callable(e) else e
+        return cls(_checked(as_function(e), label, expr), label or "f")
+
+    __add__ = _binary(operator.add, "+")
+    __sub__ = _binary(operator.sub, "-")
+    __mul__ = _binary(operator.mul, "*")
+    __truediv__ = _binary(_divide, "/")
+    __rtruediv__ = _binary(_divide, "/", swap=True)
+
+    def __neg__(self):
+        xc = self._call
+        return Fn(lambda t: -xc(t), f"(-{self.name})")
+
+    def __abs__(self):
+        xc = self._call
+        return Fn(lambda t: np.abs(xc(t)), f"abs({self.name})")
+
+    def wrap(self) -> "Fn":
+        """t -> f(wrap(t))."""
+        from .circle import wrap   # circle imports this module
+        xc = self._call
+        return Fn(lambda t: xc(wrap(t)), self.name)
+
+    def compose(self, shift, k: int) -> "Fn":
+        """t -> f(alpha_k(t)), through ``shift.apply(t, k)``."""
+        xc = self._call
+        return Fn(lambda t: xc(shift.apply(t, k)), f"{self.name}(alpha_{k})")
+
+    def orbit(self, shift, m: int) -> "Fn":
+        """The orbit product f_m(t) = prod_{i<m} f(alpha_i(t))."""
+        from . import circle   # circle imports this module; orbit_product stays there
+        return Fn(lambda t: circle.orbit_product(self, shift, m, t), f"{self.name}_{m}")
 
 
 def _n(x: float) -> Expr:
@@ -479,10 +547,6 @@ class ZeroHit:
         return self.kind != "tangential" or abs(self.value) <= 64 * np.finfo(float).eps
 
 
-def zero_points(hits) -> list[float]:
-    return [h.location for h in hits if h.kind != "interval"]
-
-
 def _bisect(fn, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     for _ in range(200):
         if b - a <= tol:
@@ -528,10 +592,9 @@ def find_zeros(e, lo: float, hi: float, cells: int = SCAN_CELLS) -> list[ZeroHit
     """
     if not lo < hi:
         raise ValueError("find_zeros requires lo < hi")
-    fn = as_function(e)
+    fn = Fn.of(e)
     xs = np.linspace(lo, hi, cells + 1)
     fx = fn(xs)
-    check_finite(e, xs, fx)
 
     scale = max(1.0, float(np.max(np.abs(fx))))
     node_atol = 1e-13 * scale
@@ -540,6 +603,7 @@ def find_zeros(e, lo: float, hi: float, cells: int = SCAN_CELLS) -> list[ZeroHit
     flat = np.abs(fx) <= FLAT_TOL
     hits: list[ZeroHit] = []
     in_flat = np.zeros(cells + 1, dtype=bool)
+    g = lambda x: abs(fn(x)) - FLAT_TOL   # zero at the ends of a flat run
 
     # flat runs spanning at least two cells
     i = 0
@@ -551,11 +615,9 @@ def find_zeros(e, lo: float, hi: float, cells: int = SCAN_CELLS) -> list[ZeroHit
             if j - i >= 2:
                 a = xs[i]
                 if i > 0:
-                    g = lambda x: abs(fn(x)) - FLAT_TOL
                     a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), ZERO_TOL)
                 b = xs[j]
                 if j < cells:
-                    g = lambda x: abs(fn(x)) - FLAT_TOL
                     b = _bisect(g, xs[j], xs[j + 1], -FLAT_TOL, g(xs[j + 1]), ZERO_TOL)
                 hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
                 in_flat[i:j + 1] = True
@@ -604,5 +666,4 @@ def find_zeros(e, lo: float, hi: float, cells: int = SCAN_CELLS) -> list[ZeroHit
             continue
         merged.append(h)
     intervals = [h for h in hits if h.kind == "interval"]
-    out = sorted(merged + intervals, key=lambda h: h.location)
-    return out
+    return sorted(merged + intervals, key=lambda h: h.location)

@@ -18,18 +18,17 @@ is matrix-free: the 4-point stencil is stored slot-major, so each product
 is one gather and one contraction, with -b folded into the weights of
 ``apply`` once per grid and the a*v term dropped where a = 0.  Only the
 invertibility ladder builds the dense matrix.  Coefficients and right-hand
-sides must be finite at the grid nodes (``EvalDomainError`` otherwise).
+sides are ``exprlang.Fn`` leaves, checked finite wherever evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .exprlang import as_function, check_finite
+from .exprlang import Fn
 from .circle import NoPeriodicStructureError, Shift, detect_orientation_and_multiplicity, wrap
 from .analysis import OperatorSpec, adjoint_spec, eta_values
 from .spectrum import radius_bound
@@ -72,7 +71,7 @@ class GridOperator:
     exactly one of apply, apply_P and apply_P_transpose.  The only
     transpose is apply_P_transpose, P^T v as one bincount.  Norms are the
     weighted discrete p-norm with weights 1/N.  ``shift`` and ``b`` are the
-    shift and the compiled coefficient the grid sampled; for g*W, b is the
+    shift and the coefficient (an ``Fn``) the grid sampled; for g*W, b is the
     weight g and b_vals = -g(nodes).
     """
 
@@ -84,7 +83,7 @@ class GridOperator:
     idx: np.ndarray
     wts: np.ndarray
     shift: Shift
-    b: Callable
+    b: Fn
     _dense: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -131,24 +130,17 @@ def _validate_grid(N: int, p: float):
         raise ValueError("p must satisfy 1 < p < inf")
 
 
-def _at_nodes(e, nodes: np.ndarray) -> np.ndarray:
-    """An Expr or callable at the grid nodes; EvalDomainError where not finite."""
-    vals = as_function(e)(nodes)
-    check_finite(e, nodes, vals)
-    return vals
-
-
-def _grid(shift: Shift, a, b, N: int, p: float, weighted_shift: bool = False) -> GridOperator:
-    """Grid operator of a*I - b*W for the shift; a and b are Exprs or
-    callables, checked finite at the nodes.  With weighted_shift, b is the
-    weight g of g*W, i.e. a = 0 and b = -g (a is then unused)."""
+def _grid(shift: Shift, a, b, N: int, p: float) -> GridOperator:
+    """Grid operator of a*I - b*W for the shift; a and b are Exprs,
+    callables or Fns, checked finite at the nodes.  With a None, b is the
+    weight g of g*W, i.e. a = 0 and b = -g."""
     _validate_grid(N, p)
     nodes = np.arange(N) / N
-    b_fn = as_function(b)
-    if weighted_shift:
-        a_vals, b_vals = np.zeros(N), -_at_nodes(b_fn, nodes)
+    b_fn = Fn.of(b, "b")
+    if a is None:
+        a_vals, b_vals = np.zeros(N), -b_fn(nodes)
     else:
-        a_vals, b_vals = _at_nodes(a, nodes), _at_nodes(b_fn, nodes)
+        a_vals, b_vals = Fn.of(a, "a")(nodes), b_fn(nodes)
     idx, wts = _lagrange_stencil(shift(nodes), N)
     return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts, shift, b_fn)
 
@@ -160,7 +152,7 @@ def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
 
 def weighted_shift_grid(g, shift: Shift, N: int, p: float) -> GridOperator:
     """Grid operator for g*W (the a = 0, b = -g variant of A)."""
-    return _grid(shift, None, g, N, p, weighted_shift=True)
+    return _grid(shift, None, Fn.of(g, "weight"), N, p)
 
 
 @dataclass(frozen=True)
@@ -326,13 +318,11 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
                          "eta0 < 0 holds on the whole curve")
 
     grid = discretize(op, N, DEFAULT_P)
-    f_vals = _at_nodes(f, grid.nodes)
-    a_fn, b_fn = as_function(op.a), as_function(op.b)
+    f_vals = Fn.of(f, "f")(grid.nodes)
     if branch == "dominant-a":
-        iter_shift, num, den = op.shift, b_fn, a_fn
+        iter_shift, iter_weight, den = op.shift, op.b / op.a, op.a
     else:
-        iter_shift, num, den = op.shift.inverse(), a_fn, b_fn
-    iter_weight = lambda t: num(t) / den(t)
+        iter_shift, iter_weight, den = op.shift.inverse(), op.a / op.b, op.b
     C = weighted_shift_grid(iter_weight, iter_shift, N, DEFAULT_P)
 
     acc = np.zeros(N)

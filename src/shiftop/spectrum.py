@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import ZERO_TOL, _refine_min, as_function, check_finite, find_zeros
+from .exprlang import ZERO_TOL, Fn, _refine_min, find_zeros
 from .circle import (GammaArc, PeriodicStructure, Shift, detect_orientation_and_multiplicity,
                      orbit_product, wrap)
 from .indices import SpaceIndices
@@ -66,17 +66,6 @@ def _arc_extreme(fn, ts: np.ndarray, vals: np.ndarray, sign: float) -> float:
     return sign * max(sign * float(vals[i]), -float(v))
 
 
-def _orbit_weight(g, shift: Shift, m: int):
-    """The orbit product g_m(t) = prod_{i<m} g(alpha_i(t)), checked finite."""
-    fn = as_function(g)
-
-    def g_m(t):
-        vals = orbit_product(fn, shift, m, wrap(t))
-        check_finite(g, t, vals)
-        return vals
-    return g_m
-
-
 def radius_bound(g, shift: Shift, structure: PeriodicStructure,
                  x: SpaceIndices) -> float:
     """Sharp upper bound for the spectral radius of g*W on X: the max over
@@ -88,7 +77,7 @@ def radius_bound(g, shift: Shift, structure: PeriodicStructure,
     On L^p (x = lebesgue(p)) this is the spectral radius itself.
     """
     m = structure.m
-    g_m = _orbit_weight(g, shift, m)
+    g_m = Fn.of(g, "weight").orbit(shift, m).wrap()
     Delta = lambda t: _delta_Delta(g_m, shift, m, x, t)[1]
     sups = list(Delta(np.asarray(structure.lambda_points)))
     for arc in structure.lambda_arcs:
@@ -126,7 +115,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     if samples < 64:
         raise ValueError("samples must be >= 64")
     m = structure.m
-    d_m = _orbit_weight(d, shift, m)
+    d_m = Fn.of(d, "weight").orbit(shift, m).wrap()
 
     curve_samples: list[complex] = []
     curve_ranges: list[tuple[float, float]] = []

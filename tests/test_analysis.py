@@ -233,6 +233,21 @@ class TestRL:
         assert so.decide(op).verdict == "left_only"
         assert calls < 10_000
 
+    def test_guard_exhausted_is_undecidable(self, idx, monkeypatch):
+        # alpha' = 1 +- 1e-6 at the fixed points: the orbit of p = 0.25 reaches
+        # the zero q of b only after 10,500 steps, beyond the patched guard,
+        # where "no hit" would read as R holding and give right_only
+        monkeypatch.setattr(so.analysis, "ORBIT_GUARD_RL", 10_000)
+        shift = so.Shift.from_lift("t+1e-6*sin(2*pi*t)/(2*pi)")
+        q = float(shift.apply(0.25, 10500))
+        d = abs(math.sin(2 * math.pi * (0.5 - q)))
+        op = so.operator_spec("(0.75+0.25*cos(2*pi*t))*(-cos(2*pi*t))",
+                              f"(0.45-0.15*cos(2*pi*t))*sin(2*pi*(t-{q!r}))/{d!r}",
+                              shift, idx)
+        report = so.decide(op)
+        assert report.verdict == "undecidable"
+        assert "after 10000 steps" in report.witness["detail"]
+
 
 class TestDecide:
     def test_fixture_verdicts(self, fixture_suite):

@@ -105,7 +105,19 @@ class TestAnalyze:
         # of the scan grid; the sigma_A scan of the Gamma2 arc (0, 0.5) meets it
         a = "sqrt((sin(pi*(t-0.2501220703125)))^2-1e-10)"
         err = run_error([command, "-c", write_config(tmp_path, a=a, b="0.3")], capsys)
-        assert err == "config error: non-finite evaluation at t=0.2501220703125\n"
+        assert err == ("config error: a: sqrt of negative value in "
+                       "sqrt(((sin((pi * (t - 0.2501220703125))) ^ 2.0) - 1e-10)) "
+                       "at t=0.2501220703125\n")
+
+    def test_coefficient_not_finite_at_fixed_point_exit_2(self, tmp_path, capsys):
+        # a is undefined only within 3e-11 of the attracting fixed point, which
+        # lies between the scan nodes; eta there once printed "eta0": NaN, exit 0
+        tau = "0.5484933420107154"
+        a = f"sqrt((sin(pi*(t-{tau})))^2-1e-20)"
+        err = run_error(["analyze", "-c", write_config(
+            tmp_path, shift={"lift": "t+0.03+0.1*sin(2*pi*t)"}, a=a, b="3")], capsys)
+        assert err == (f"config error: a: sqrt of negative value in "
+                       f"sqrt(((sin((pi * (t - {tau}))) ^ 2.0) - 1e-20)) at t={tau}\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -335,6 +347,10 @@ class TestParser:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "config error" in proc.stderr
+
+    def test_dump_json_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            cli.dump_json({"x": float("nan")})
 
     def test_missing_config_flag(self):
         assert cli.run(["analyze"]) == 2

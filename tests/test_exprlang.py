@@ -201,7 +201,7 @@ class TestFloatOrArray:
 class TestFindZeros:
     def test_sine_zeros_half_open(self):
         hits = ex.find_zeros(ex.parse("sin(2*pi*t)"), 0.0, 1.0)
-        locs = ex.zero_points(hits)
+        locs = [h.location for h in hits if h.kind != "interval"]
         assert len(locs) == 2
         assert locs[0] == pytest.approx(0.0, abs=1e-12)
         assert locs[1] == pytest.approx(0.5, abs=1e-12)
@@ -229,7 +229,7 @@ class TestFindZeros:
                     else:
                         lo_ = mid
                 ref.append(0.5 * (lo_ + hi_))
-        got = ex.zero_points(ex.find_zeros(e, 0.0, 1.0))
+        got = [h.location for h in ex.find_zeros(e, 0.0, 1.0) if h.kind != "interval"]
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert g == pytest.approx(r, abs=1e-9)
@@ -252,6 +252,31 @@ class TestFindZeros:
     def test_domain_error_inside(self):
         with pytest.raises(ex.EvalDomainError):
             ex.find_zeros(ex.parse("log(t-0.5)"), 0.0, 1.0)
+
+
+class TestFn:
+    def test_nodes_compute_the_plain_floats(self):
+        ea, eb = ex.parse("2+sin(2*pi*t)"), ex.parse("cos(2*pi*t)")
+        fa, fb = ex.as_function(ea), ex.as_function(eb)
+        a, b = ex.Fn.of(ea, "a"), ex.Fn.of(eb, "b")
+        ts = np.linspace(0.0, 1.0, 9)
+        for node, plain in ((a - b, fa(ts) - fb(ts)), (-b, -fb(ts)), (a * b, fa(ts) * fb(ts)),
+                            (abs(b) + a, np.abs(fb(ts)) + fa(ts)), (1.0 / a, 1.0 / fa(ts))):
+            assert all(same_bits(x, y) for x, y in zip(node(ts), plain))
+
+    def test_leaf_names_label_subexpression_and_point(self):
+        a = ex.Fn.of(ex.parse("1+log(t-0.5)"), "a")
+        with pytest.raises(ex.EvalDomainError, match=r"^a: log of non-positive value in "
+                                                     r"log\(\(t - 0.5\)\) at t=0.25$"):
+            a(np.array([0.75, 0.25]))
+
+    @pytest.mark.parametrize("t", [0.5, np.array([0.25, 0.5])])
+    def test_quotient_by_zero_is_named(self, t):
+        # Python floats as well as arrays: no ZeroDivisionError, no warning
+        q = ex.Fn.of(lambda x: 1.0, "a") / ex.Fn.of(lambda x: x - 0.5, "b")
+        message = r"^\(a / b\): non-finite evaluation at t=0.5$"
+        with pytest.raises(ex.EvalDomainError, match=message):
+            q(t)
 
 
 class TestCheckFinite:
