@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import Fn, find_zeros, is_periodic, parse
+from .exprlang import ZERO_TOL, Fn, find_zeros, is_periodic, parse
 from .circle import (POINT_TOL, Arc, GammaArc, PeriodicStructure, Shift, StructureError,
                      circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
@@ -34,7 +34,11 @@ DEGENERATE = "degenerate"    # some eta limit inside the sign band: refuse to de
 
 
 class UndecidableError(StructureError):
-    """Raised internally when a quantity sits inside a tolerance band."""
+    """A refusal to decide; witness is that of decide's undecidable report."""
+
+    def __init__(self, detail: str, witness: dict | None = None):
+        super().__init__(detail)
+        self.witness = {"type": "undecidable", "detail": detail} if witness is None else witness
 
 
 @dataclass(frozen=True)
@@ -55,18 +59,20 @@ class OperatorSpec:
 def operator_spec(a, b, shift, space: SpaceIndices,
                   structure: PeriodicStructure | None = None) -> OperatorSpec:
     """OperatorSpec of 1-periodic a and b (else ValueError), as the Fn leaves
-    "a" and "b"; detects the structure if None."""
+    "a" and "b"; detects the structure if None.  A value that is not finite
+    at t = 0 or 1 raises EvalDomainError naming the coefficient."""
     from .circle import compute_periodic_structure
 
     if isinstance(shift, str):
         shift = Shift.from_lift(shift)
-    a, b = (parse(c) if isinstance(c, str) else c for c in (a, b))
+    a, b = (Fn.of(parse(c) if isinstance(c, str) else c, name)
+            for name, c in (("a", a), ("b", b)))
     if structure is None:
         structure = compute_periodic_structure(shift)
     for name, c in (("a", a), ("b", b)):
-        if not is_periodic(c):
+        if not is_periodic(c):   # evaluates the checked leaf at 0 and 1
             raise ValueError(f"coefficient {name} is not 1-periodic")
-    return OperatorSpec(Fn.of(a, "a"), Fn.of(b, "b"), shift, structure, space)
+    return OperatorSpec(a, b, shift, structure, space)
 
 
 def eta_values(op: OperatorSpec, t):
@@ -102,12 +108,6 @@ class GammaPartition:
 
     arcs: tuple[tuple[GammaArc, Classification], ...]
     points: tuple[tuple[float, Classification], ...]
-
-    @property
-    def degenerate_locations(self) -> tuple[float, ...]:
-        locs = [a.midpoint() for a, c in self.arcs if c.region == DEGENERATE]
-        locs += [p for p, c in self.points if c.region == DEGENERATE]
-        return tuple(locs)
 
     def arcs_in(self, region: str) -> tuple[GammaArc, ...]:
         return tuple(a for a, c in self.arcs if c.region == region)
@@ -181,70 +181,60 @@ def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> flo
 
 
 def _filter_near_y(hits, ps: PeriodicStructure):
-    out = []
-    for h in hits:
-        if h.kind == "interval":
-            out.append(h)
-            continue
-        t = wrap(h.location)
-        if any(circle_dist(t, p) <= 1e-10 for p in ps.y):
-            continue
-        out.append(h)
-    return out
+    """hits without the point hits within 1e-10 of a Y point."""
+    return [h for h in hits if h.kind == "interval"
+            or not any(circle_dist(wrap(h.location), p) <= 1e-10 for p in ps.y)]
 
 
-def _coefficient_zeros(op: OperatorSpec, coeff_fn, arcs) -> tuple[list[float], bool]:
-    """Zeros of a coefficient over the closures of the given arcs, dropping
-    zeros at the fixed-point endpoints (orbits never reach them).
+def _coefficient_zeros(op: OperatorSpec, fn: Fn, arcs, pair: str) -> list[float]:
+    """Crossing zeros of a coefficient over the closures of the given arcs,
+    dropping zeros at the fixed-point endpoints (orbits never reach them).
 
-    Returns (locations, has_suspect)."""
+    A touch or flat stretch of zero makes the orbit pattern ambiguous, so
+    it raises UndecidableError naming the pair ("a/b" or "b/a")."""
     zeros: list[float] = []
-    suspect = False
     for arc in arcs:
-        for h in find_zeros(coeff_fn.wrap(), arc.start, arc.end):   # in arc coordinates
-            # flat stretches and tangential zeros make the orbit pattern ambiguous
+        for h in find_zeros(fn.wrap(), arc.start, arc.end):   # in arc coordinates
             if h.kind != "crossing":
-                suspect = True
-            else:
-                zeros.append(wrap(h.location))
-    zeros = [z for z in _dedup(zeros)
-             if not op.structure.in_lambda(z, tol=ORBIT_MATCH_TOL)]
-    return zeros, suspect
-
-
-def _dedup(vals) -> list[float]:
-    out: list[float] = []
-    for v in sorted(vals):
-        if out and abs(v - out[-1]) <= 1e-10:
-            continue
-        out.append(v)
-    return out
+                raise UndecidableError(
+                    f"suspect (tangential) zeros in the {pair} zero sets on the orbit arcs")
+            zeros.append(wrap(h.location))
+    distinct: list[float] = []
+    for z in sorted(zeros):
+        if not distinct or abs(z - distinct[-1]) > 1e-10:
+            distinct.append(z)
+    return [z for z in distinct if not op.structure.in_lambda(z, tol=ORBIT_MATCH_TOL)]
 
 
 def _orbit_hits(op: OperatorSpec, p: float, q: float, n_min: int) -> int | None:
-    """Least n >= n_min with alpha_n(p) matching q within tolerance, or None.
+    """Least n >= n_min with alpha_n(p) matching q, or None (p, q off Lambda).
 
     alpha_m maps each moving arc onto itself, so an orbit that misses q's
     arc in its first m steps never reaches q.  Inside that arc, iteration
     stops once the orbit has passed q on the attractor side (forward orbits
-    are monotone within each component).  An orbit still short of q after
-    ORBIT_GUARD_RL steps raises UndecidableError: it may yet reach q.
+    are monotone within each component).  The zeros are known to ZERO_TOL,
+    which alpha_n stretches by alpha_n'(p): a distance within that band
+    (plus 1e-15 of rounding per step) is a hit, and one between the band and
+    ORBIT_MATCH_TOL raises UndecidableError with a near_orbit_pair witness.
+    An orbit still short of q after ORBIT_GUARD_RL steps raises too: it may
+    yet reach q.
     """
-    ps = op.structure
-    if ps.in_lambda(p, tol=ORBIT_MATCH_TOL) or ps.in_lambda(q, tol=ORBIT_MATCH_TOL):
-        # fixed-point zeros are never reached by interior orbits
-        if n_min == 0 and circle_dist(p, q) <= ORBIT_MATCH_TOL:
-            return 0
-        return None
-    gq = ps.gamma_containing(q)
+    gq = op.structure.gamma_containing(q)
     if gq is None or not any(gq.contains(op.shift.apply(p, i)) for i in range(op.m)):
         return None
     toward_end = circle_dist(gq.tau_plus, wrap(gq.end)) <= POINT_TOL
     sq = gq.offset(q)
     z = p
     for n in range(ORBIT_GUARD_RL):
-        if n >= n_min and circle_dist(z, q) <= ORBIT_MATCH_TOL:
-            return n
+        dist = circle_dist(z, q)
+        if n >= n_min and dist <= ORBIT_MATCH_TOL:
+            stretch = abs(orbit_product(op.shift.deriv, op.shift, n, p)) if n else 1.0
+            if dist <= ZERO_TOL * (1.0 + stretch) + 1e-15 * (n + 1):
+                return n
+            raise UndecidableError(
+                f"orbit of p={float(p)!r} misses q={float(q)!r} by {float(dist)!r} "
+                f"at n={n}, inside the orbit-match tolerance",
+                {"type": "near_orbit_pair", "p": p, "q": q, "n": n, "distance": float(dist)})
         sz = gq.offset(z)
         if 0.0 < sz < gq.length:
             passed = sz > sq + ORBIT_MATCH_TOL if toward_end else sz < sq - ORBIT_MATCH_TOL
@@ -262,7 +252,7 @@ def check_R(op: OperatorSpec, arcs) -> tuple[bool, dict | None]:
     (n >= 0) of some zero p of a inside the arc family; a shared zero
     (n = 0) already fails.
     """
-    return _check_orbit_condition(op, arcs, src="a", dst="b", n_min=0)
+    return _check_orbit_condition(op, arcs, op.a, op.b, "a/b", n_min=0)
 
 
 def check_L(op: OperatorSpec, arcs) -> tuple[bool, dict | None]:
@@ -271,23 +261,18 @@ def check_L(op: OperatorSpec, arcs) -> tuple[bool, dict | None]:
     L fails exactly when some zero q of a lies on the strictly forward
     orbit (n >= 1) of some zero p of b; a shared zero does not fail.
     """
-    return _check_orbit_condition(op, arcs, src="b", dst="a", n_min=1)
+    return _check_orbit_condition(op, arcs, op.b, op.a, "b/a", n_min=1)
 
 
-def _check_orbit_condition(op: OperatorSpec, arcs, src: str, dst: str,
+def _check_orbit_condition(op: OperatorSpec, arcs, p_fn: Fn, q_fn: Fn, pair: str,
                            n_min: int) -> tuple[bool, dict | None]:
+    """(holds, witness): fails at the first zero p of p_fn whose orbit from
+    step n_min reaches a zero q of q_fn."""
     arcs = tuple(arcs)
-    if not arcs:
-        return True, None
-    a_fn = op.a if src == "a" else op.b
-    b_fn = op.b if src == "a" else op.a
-    z_src, s1 = _coefficient_zeros(op, a_fn, arcs)
-    z_dst, s2 = _coefficient_zeros(op, b_fn, arcs)
-    if s1 or s2:
-        raise UndecidableError(
-            f"suspect (tangential) zeros in the {src}/{dst} zero sets on the orbit arcs")
-    for p in z_src:
-        for q in z_dst:
+    z_p = _coefficient_zeros(op, p_fn, arcs, pair)
+    z_q = _coefficient_zeros(op, q_fn, arcs, pair)
+    for p in z_p:
+        for q in z_q:
             n = _orbit_hits(op, p, q, n_min)
             if n is not None:
                 return False, {"p": p, "q": q, "n": n}
@@ -320,20 +305,17 @@ def _region_sigma_fn(op: OperatorSpec, region: str) -> Fn:
     return am - bm if region == GAMMA1 else am if region == GAMMA2 else -bm
 
 
-def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
-    """Zero-finding of sigma_A per region plus sampled extrema.
-
-    Returns (zeros, ambiguous, extrema) where zeros is a list of
-    (region, location) of definite zeros and ambiguous lists locations of
-    near-zero dips the scan refuses to call.
-    """
+def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition,
+                     extrema: dict) -> list[tuple[str, float]]:
+    """Definite zeros (region, location) of sigma_A per region.  Records the
+    sampled extrema per region in extrema, then refuses (UndecidableError)
+    if the scan found near-zero dips it cannot call."""
     ps = op.structure
     regions: list[tuple[str, Arc]] = [(GAMMA1, a) for a in ps.omega]
     regions += [(c.region, a) for a, c in partition.arcs if c.region in (GAMMA2, GAMMA3)]
 
     zeros: list[tuple[str, float]] = []
     ambiguous: list[float] = []
-    extrema: dict[str, dict] = {}
 
     def record(region, vals):
         ext = extrema.setdefault(region, {"min": np.inf, "max": -np.inf, "min_abs": np.inf})
@@ -358,7 +340,10 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition):
     for p, c in partition.points:
         if c.region in (GAMMA2, GAMMA3):
             record(c.region, _region_sigma_fn(op, c.region)(p))
-    return zeros, ambiguous, extrema
+    if ambiguous:
+        raise UndecidableError(f"ambiguous near-zero dips of sigma_A at {ambiguous}",
+                               {"type": "ambiguous_sigma_zero", "locations": ambiguous})
+    return zeros
 
 
 def _partition_summary(ps: PeriodicStructure, partition: GammaPartition) -> dict:
@@ -371,107 +356,84 @@ def _partition_summary(ps: PeriodicStructure, partition: GammaPartition) -> dict
     }
 
 
+def _locations(partition: GammaPartition, region: str) -> list[float]:
+    """The region's arc midpoints, then its points."""
+    return [a.midpoint() for a in partition.arcs_in(region)] + list(partition.points_in(region))
+
+
+def _shared_failures(op: OperatorSpec, partition: GammaPartition,
+                     zeros) -> list[tuple[bool, dict]]:
+    """(located, witness) failures of both sides: the first zero of sigma_A,
+    each declared Y' point where eta0*eta1 < 0, then the none class (sigma_A
+    = 0 on it).  A Y' point with an eta inside the sign band refuses."""
+    fails = [(True, {"type": "sigma_zero", "region": r, "t": t}) for r, t in zeros[:1]]
+    for tau in op.structure.yprime:
+        e0, e1 = eta_values(op, tau)
+        w = {"t": tau, "eta0": e0, "eta1": e1}
+        if abs(e0) <= SIGN_BAND or abs(e1) <= SIGN_BAND:
+            raise UndecidableError(f"eta inside the sign band at the Y' point t={tau!r}",
+                                   {"type": "degenerate_yprime", **w})
+        if e0 * e1 < 0:
+            fails.append((True, {"type": "yprime_sign", **w}))
+    none = _locations(partition, NONE_CLASS)
+    if none:
+        fails.append((False, {"type": "sigma_zero", "region": NONE_CLASS, "t": none[0]}))
+    return fails
+
+
+def _own_failures(op: OperatorSpec, other_arcs, other_region: str, arcs, check,
+                  kind: str) -> list[tuple[bool, dict]]:
+    """A side's own failures: sigma_A = 0 on the other side's arcs, else a
+    failing orbit pair of its condition (check) on its own arcs."""
+    if other_arcs:
+        return [(False, {"type": "sigma_zero", "region": other_region,
+                         "t": other_arcs[0].midpoint()})]
+    if arcs:
+        holds, w = check(op, arcs)
+        if not holds:
+            return [(True, {"type": kind, **w})]
+    return []
+
+
+_VERDICTS = {(True, True): "two_sided", (True, False): "right_only",
+             (False, True): "left_only", (False, False): "neither"}
+
+
 def decide(op: OperatorSpec) -> InvertibilityReport:
     """Right/left invertibility verdict for A = a*I - b*W.
 
     right holds iff sigma_A has no zero off Gamma4 and R(Gamma4) holds;
-    left symmetrically with Gamma5 and L.  Degenerate classifications,
-    uncertain structures, and ambiguous near-zeros yield "undecidable".
+    left symmetrically with Gamma5 and L.  Each side's failures are one
+    list, shared ones first; the witness is the first located failure (a
+    point or an orbit pair), else the first failure.  A stage that refuses
+    raises UndecidableError, which becomes the one "undecidable" report,
+    with the partition summary and sigma extrema computed so far.
     """
-    if op.structure.uncertain:
-        return InvertibilityReport(
-            "undecidable", None, None,
-            {"type": "uncertain_structure",
-             "detail": "tangential fixed-point zeros in the periodic structure"},
-            {}, {})
-
-    partition = build_partition(op)
-    summary = _partition_summary(op.structure, partition)
-
-    degen = partition.degenerate_locations
-    if degen:
-        return InvertibilityReport(
-            "undecidable", None, None,
-            {"type": "degenerate_classification", "locations": list(degen)},
-            summary, {})
-
+    summary: dict = {}
+    extrema: dict = {}
     try:
-        zeros, ambiguous, extrema = _sigma_zero_scan(op, partition)
-        if ambiguous:
-            return InvertibilityReport(
-                "undecidable", None, None,
-                {"type": "ambiguous_sigma_zero", "locations": ambiguous},
-                summary, extrema)
-
-        right = True
-        left = True
-        # witness candidates, most informative first: a located sigma zero or
-        # failing orbit pair beats a bare "region present" record
-        primary: list[dict] = []
-        secondary: list[dict] = []
-
-        if zeros:
-            region, loc = zeros[0]
-            right = left = False
-            primary.append({"type": "sigma_zero", "region": region, "t": loc})
-
-        # Y' branch: eta0*eta1 > 0 must hold at every declared limit point
-        for tau in op.structure.yprime:
-            e0, e1 = eta_values(op, tau)
-            if abs(e0) <= SIGN_BAND or abs(e1) <= SIGN_BAND:
-                return InvertibilityReport(
-                    "undecidable", None, None,
-                    {"type": "degenerate_yprime", "t": tau, "eta0": e0, "eta1": e1},
-                    summary, extrema)
-            if e0 * e1 < 0:
-                right = left = False
-                primary.append({"type": "yprime_sign", "t": tau,
-                                "eta0": e0, "eta1": e1})
-
-        none_arcs = partition.arcs_in(NONE_CLASS)
-        none_points = partition.points_in(NONE_CLASS)
-        if none_arcs or none_points:
-            right = left = False
-            loc = none_arcs[0].midpoint() if none_arcs else none_points[0]
-            secondary.append({"type": "sigma_zero", "region": NONE_CLASS, "t": loc})
-
-        arcs4 = partition.arcs_in(GAMMA4)
-        arcs5 = partition.arcs_in(GAMMA5)
-        if arcs5 and right:
-            right = False
-            secondary.append({"type": "sigma_zero", "region": GAMMA5,
-                              "t": arcs5[0].midpoint()})
-        if arcs4 and left:
-            left = False
-            secondary.append({"type": "sigma_zero", "region": GAMMA4,
-                              "t": arcs4[0].midpoint()})
-
-        if right and arcs4:
-            ok, w = check_R(op, arcs4)
-            if not ok:
-                right = False
-                primary.append({"type": "R_orbit_pair", **w})
-        if left and arcs5:
-            ok, w = check_L(op, arcs5)
-            if not ok:
-                left = False
-                primary.append({"type": "L_orbit_pair", **w})
-
-        witness = primary[0] if primary else (secondary[0] if secondary else None)
+        if op.structure.uncertain:
+            detail = "tangential fixed-point zeros in the periodic structure"
+            raise UndecidableError(detail, {"type": "uncertain_structure", "detail": detail})
+        partition = build_partition(op)
+        summary = _partition_summary(op.structure, partition)
+        degen = _locations(partition, DEGENERATE)
+        if degen:
+            raise UndecidableError("eta limits inside the sign band",
+                                   {"type": "degenerate_classification", "locations": degen})
+        shared = _shared_failures(op, partition, _sigma_zero_scan(op, partition, extrema))
+        arcs4, arcs5 = partition.arcs_in(GAMMA4), partition.arcs_in(GAMMA5)
+        # a side's own failures are looked for only when no failure is shared
+        right = shared or _own_failures(op, arcs5, GAMMA5, arcs4, check_R, "R_orbit_pair")
+        left = shared or _own_failures(op, arcs4, GAMMA4, arcs5, check_L, "L_orbit_pair")
     except UndecidableError as exc:
-        return InvertibilityReport(
-            "undecidable", None, None,
-            {"type": "undecidable", "detail": str(exc)}, summary, {})
+        return InvertibilityReport("undecidable", None, None, exc.witness, summary, extrema)
 
-    if right and left:
-        verdict = "two_sided"
-    elif right:
-        verdict = "right_only"
-    elif left:
-        verdict = "left_only"
-    else:
-        verdict = "neither"
-    return InvertibilityReport(verdict, right, left, witness, summary, extrema)
+    failures = shared or right + left
+    witness = next((w for located, w in failures if located),
+                   failures[0][1] if failures else None)
+    return InvertibilityReport(_VERDICTS[not right, not left], not right, not left,
+                               witness, summary, extrema)
 
 
 def adjoint_spec(op: OperatorSpec) -> OperatorSpec:

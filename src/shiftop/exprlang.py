@@ -521,10 +521,11 @@ def differentiate(e: Expr) -> Expr:
 
 
 def is_periodic(e) -> bool:
-    """Numeric 1-periodicity check: |f(0) - f(1)| <= 1e-9*(1+|f(0)|)."""
+    """Numeric 1-periodicity check: f(0), f(1) finite and
+    |f(0) - f(1)| <= 1e-9*(1+|f(0)|)."""
     fn = as_function(e)
     f0, f1 = float(fn(0.0)), float(fn(1.0))
-    return abs(f0 - f1) <= 1e-9 * (1.0 + abs(f0))
+    return math.isfinite(f0) and math.isfinite(f1) and abs(f0 - f1) <= 1e-9 * (1.0 + abs(f0))
 
 
 @dataclass(frozen=True)

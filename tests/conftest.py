@@ -54,3 +54,11 @@ def build_fixtures():
 @pytest.fixture(scope="session")
 def fixture_suite():
     return build_fixtures()
+
+
+@pytest.fixture(scope="session")
+def suite_evidence(fixture_suite):
+    """name -> default-ladder evidence of each fixture, built once: the
+    dense ladder is the slowest thing the suite computes."""
+    return {name: so.invertibility_evidence(op, verdict=verdict)
+            for name, (op, verdict) in fixture_suite.items()}

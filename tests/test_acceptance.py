@@ -188,10 +188,10 @@ def test_criterion_8_parser_differentiator():
     report(8, f"500 round trips exact, {checked} derivative checks within 1e-6")
 
 
-def test_criterion_9_oracle_coherence(suite):
+def test_criterion_9_oracle_coherence(suite_evidence):
     """Evidence never contradicts decide() across the fixture suite."""
-    for name, (op, verdict) in suite.items():
-        ev = so.invertibility_evidence(op, verdict=verdict)
+    for name, ev in suite_evidence.items():
+        verdict = ev.verdict_expected
         if verdict == "two_sided":
             assert ev.consistent_two_sided, name
         elif verdict == "neither":

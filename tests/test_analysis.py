@@ -1,11 +1,48 @@
+import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import shiftop as so
+from shiftop import cli
 from conftest import ALPHA_PRIME_0, ALPHA_PRIME_HALF
+
+S1_LIFT = "t+0.1*sin(2*pi*t)"
+A_RL = "(0.75+0.25*cos(2*pi*t))*(-cos(2*pi*t))"   # its zero on the arcs is p = 0.25
+
+
+def b_rl(q: float) -> str:
+    """b with its zero at q: with A_RL both arcs of S1 are Gamma4, so R
+    decides the right side."""
+    d = abs(math.sin(2 * math.pi * (0.5 - q)))
+    return f"(0.45-0.15*cos(2*pi*t))*sin(2*pi*(t-{q!r}))/{d!r}"
+
+
+_S1 = so.Shift.from_lift(S1_LIFT)
+_HI_02 = float(so.space_indices(1 / 3, 0.5).dilation_pair(_S1.deriv(0.2))[1])
+
+# case -> (witness type, lift, a, b, declared Y' points) of an operator decide refuses
+REFUSALS = {
+    "uncertain_structure": ("uncertain_structure", "t + 0.05 - 0.05*cos(2*pi*(t-0.5))",
+                            "2", "1", ()),
+    # eta1(0) = 0: |a| is the max dilation factor at 0
+    "degenerate_classification": ("degenerate_classification", S1_LIFT,
+                                  repr(max(ALPHA_PRIME_0 ** (-1 / 3), ALPHA_PRIME_0 ** (-1 / 2))),
+                                  "1", ()),
+    # sigma_A = a dips to 1e-13 at t = 0.3
+    "ambiguous_sigma_zero": ("ambiguous_sigma_zero", "t", "1e-13+sin(pi*(t-0.3))^2", "0", ()),
+    # eta1 = 0 at the declared Y' point 0.2
+    "degenerate_yprime": ("degenerate_yprime", S1_LIFT, repr(_HI_02), "1", (0.2,)),
+    # b touches zero at 0.2 on the Gamma4 arcs: refused in the R stage, after the sigma scan
+    "suspect_R_zeros": ("undecidable", S1_LIFT, "(2-1.9*sin(pi*t))*(1+0.5*cos(4*pi*t))",
+                        "(sin(2*pi*(t-0.2)))^2", ()),
+    # alpha_3(0.25) misses the zero q of b by 5e-10
+    "near_orbit_pair": ("near_orbit_pair", S1_LIFT, A_RL,
+                        b_rl(float(_S1.apply(0.25, 3)) + 5e-10), ()),
+}
 
 
 def eta_direct(op, t):
@@ -233,6 +270,17 @@ class TestRL:
         assert so.decide(op).verdict == "left_only"
         assert calls < 10_000
 
+    @pytest.mark.parametrize("offset, verdict", [(0.0, "neither"), (2e-9, "right_only")])
+    def test_orbit_match_band(self, s1, s1_structure, idx, offset, verdict):
+        # alpha_3(0.25) = q to 7.6e-14 at offset 0, inside the band 1e-12*(1 + alpha_3'(0.25));
+        # 2e-9 is a miss.  5e-10, beyond the band but inside ORBIT_MATCH_TOL, is
+        # TestRefusals' near_orbit_pair case
+        q = float(s1.apply(0.25, 3)) + offset
+        report = so.decide(so.operator_spec(A_RL, b_rl(q), s1, idx, structure=s1_structure))
+        assert report.verdict == verdict
+        if offset == 0.0:
+            assert (report.witness["type"], report.witness["n"]) == ("R_orbit_pair", 3)
+
     def test_guard_exhausted_is_undecidable(self, idx, monkeypatch):
         # alpha' = 1 +- 1e-6 at the fixed points: the orbit of p = 0.25 reaches
         # the zero q of b only after 10,500 steps, beyond the patched guard,
@@ -247,6 +295,43 @@ class TestRL:
         report = so.decide(op)
         assert report.verdict == "undecidable"
         assert "after 10000 steps" in report.witness["detail"]
+
+
+class TestRefusals:
+    """Every refusal is an undecidable report whose witness says why; guard
+    exhaustion is TestRL::test_guard_exhausted_is_undecidable."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_witness(self, case, idx, tmp_path):
+        kind, lift, a, b, yprime = REFUSALS[case]
+        shift = so.Shift.from_lift(lift)
+        structure = replace(so.compute_periodic_structure(shift), yprime=yprime)
+        report = so.decide(so.operator_spec(a, b, shift, idx, structure=structure))
+        assert (report.verdict, report.right, report.left) == ("undecidable", None, None)
+        assert report.witness["type"] == kind
+        if case == "ambiguous_sigma_zero":
+            assert report.witness["locations"] == [pytest.approx(0.3, abs=1e-6)]
+        if case == "suspect_R_zeros":
+            assert "suspect" in report.witness["detail"]
+            assert report.sigma_extrema   # the scan ran before the R stage refused
+        if case == "near_orbit_pair":
+            assert report.witness["n"] == 3
+            assert report.witness["distance"] == pytest.approx(5e-10, rel=1e-2)
+        if yprime:
+            return   # a config cannot declare Y' points
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({"shift": {"lift": lift}, "a": a, "b": b,
+                                   "space": {"alpha": 1 / 3, "beta": 0.5}}), encoding="utf-8")
+        assert cli.run(["analyze", "-c", str(cfg), "-o", str(out)]) == cli.EXIT_UNDECIDABLE
+        assert json.loads(out.read_text(encoding="utf-8"))["witness"]["type"] == kind
+
+
+class TestOperatorSpec:
+    @pytest.mark.parametrize("which, text", [("a", "1/sin(2*pi*t)"), ("b", "log(t)")])
+    def test_infinite_at_zero_named(self, s1, s1_structure, idx, which, text):
+        coeffs = {"a": "2", "b": "1", which: text}
+        with pytest.raises(so.EvalDomainError, match=rf"^{which}: .* at t=0\.0$"):
+            so.operator_spec(coeffs["a"], coeffs["b"], s1, idx, structure=s1_structure)
 
 
 class TestDecide:

@@ -308,3 +308,8 @@ class TestPeriodicity:
 
     def test_not_periodic(self):
         assert not ex.is_periodic(ex.parse("t"))
+
+    @pytest.mark.parametrize("text", ["1/sin(2*pi*t)", "log(t)"])
+    def test_infinite_at_zero_not_periodic(self, text):
+        # inf <= inf once let these through
+        assert not ex.is_periodic(ex.parse(text))

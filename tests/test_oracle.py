@@ -137,8 +137,10 @@ class TestNonFinite:
     @pytest.mark.parametrize("which", ["a", "b"])
     def test_discretize_coefficients(self, s1, s1_structure, which):
         coeffs = {"a": "2", "b": "1", which: "1/sin(2*pi*t)"}
-        op = so.operator_spec(coeffs["a"], coeffs["b"], s1, so.lebesgue(2),
-                              structure=s1_structure)
+        # built directly: operator_spec already refuses a coefficient infinite at t = 0
+        op = so.OperatorSpec(so.exprlang.Fn.of(so.parse(coeffs["a"]), "a"),
+                             so.exprlang.Fn.of(so.parse(coeffs["b"]), "b"),
+                             s1, s1_structure, so.lebesgue(2))
         # the compiled coefficient keeps its Expr, so the error names the subexpression
         with pytest.raises(so.EvalDomainError,
                            match=r"division by zero in \(1\.0 / sin\(.*\)\) at t=0\.0"):
@@ -218,18 +220,16 @@ class TestEvidence:
             ev = so.invertibility_evidence(op, N_ladder=(64, 128, 256))
             assert ev.rungs[0]["s_min"] == pytest.approx(expected, abs=1e-10)
 
-    def test_coherence_on_suite(self, fixture_suite):
-        for name, (op, verdict) in fixture_suite.items():
-            ev = so.invertibility_evidence(op, verdict=verdict)
+    def test_coherence_on_suite(self, suite_evidence):
+        for name, ev in suite_evidence.items():
+            verdict = ev.verdict_expected
             if verdict == "two_sided":
                 assert ev.consistent_two_sided, name
             elif verdict == "neither":
                 assert ev.consistent_neither, name
 
-    def test_one_sided_asymmetry_reported(self, fixture_suite):
-        op, _ = fixture_suite["F4"]
-        ev = so.invertibility_evidence(op)
-        for r in ev.rungs:
+    def test_one_sided_asymmetry_reported(self, suite_evidence):
+        for r in suite_evidence["F4"].rungs:
             assert "resid" in r and "resid_adjoint" in r and "s_min_adjoint" in r
 
     def test_one_factorisation_per_matrix(self, fixture_suite, monkeypatch):
