@@ -441,7 +441,7 @@ def adjoint_spec(op: OperatorSpec) -> OperatorSpec:
     shift alpha_{-1}, associate space indices (real coefficients assumed)."""
     inv = op.shift.inverse()
     # |alpha_{-1}'(t)| = 1/|alpha'(x)| at x = alpha_{-1}(t): one inverse solve
-    b_star = (op.b * abs(1.0 / Fn(op.shift.deriv, "alpha'"))).compose(inv, 1)
+    b_star = (op.b * abs(1.0 / op.shift.deriv)).compose(inv, 1)
     # attraction reverses under the inverse shift
     gamma = tuple(GammaArc(g.start, g.end, g.tau_plus, g.tau_minus)
                   for g in op.structure.gamma)
@@ -454,7 +454,9 @@ def reduce_to_fixed(op: OperatorSpec) -> tuple[OperatorSpec, bool]:
 
     Returns (op_m, cond) where cond is the no-joint-zero condition
     |a_i(t)| + |b(alpha_{i-1}(t))| > 0 on Gamma4 for i = 1..m-1 (vacuous
-    for m = 1).
+    for m = 1).  It fails where |b(alpha_{i-1})| <= SIGN_BAND at a zero of
+    a_i that find_zeros reports on a Gamma4 arc, or anywhere on a flat zero
+    interval of a_i.
     """
     m = op.m
     if m == 1:
@@ -464,16 +466,22 @@ def reduce_to_fixed(op: OperatorSpec) -> tuple[OperatorSpec, bool]:
     b_m_shifted = op.b.orbit(op.shift, m).compose(op.shift, m - 1)
     op_m = OperatorSpec(op.a.orbit(op.shift, m), b_m_shifted, shift_m,
                         replace(op.structure, m=1, orientation=1), op.space)
-
-    partition = build_partition(op)
-    arcs4 = partition.arcs_in(GAMMA4)
-    cond = True
-    for i in range(1, m):
-        joint = abs(op.a.orbit(op.shift, i)) + abs(op.b.compose(op.shift, i - 1))
-        for arc in arcs4:
-            samples = wrap(np.linspace(arc.start, arc.end, 2049))
-            if float(np.min(joint(samples))) <= SIGN_BAND:
-                cond = False
-        if not cond:
-            break
+    arcs4 = build_partition(op).arcs_in(GAMMA4)
+    cond = not any(_joint_zero(op.a.orbit(op.shift, i), op.b.compose(op.shift, i - 1), arc)
+                   for i in range(1, m) for arc in arcs4)
     return op_m, cond
+
+
+def _joint_zero(a_i: Fn, b_i: Fn, arc: Arc) -> bool:
+    """Whether |b_i| <= SIGN_BAND at a zero of a_i on the arc: at a point
+    zero, or at an end or a zero (within SIGN_BAND) of b_i on an interval."""
+    for h in find_zeros(a_i.wrap(), arc.start, arc.end):
+        if h.kind != "interval":
+            near = [abs(b_i(wrap(h.location)))]
+        else:
+            near = [abs(b_i(wrap(h.lo))), abs(b_i(wrap(h.hi)))]
+            near += [0.0 if z.kind != "tangential" else abs(z.value)
+                     for z in find_zeros(b_i.wrap(), h.lo, h.hi)]
+        if min(near) <= SIGN_BAND:
+            return True
+    return False

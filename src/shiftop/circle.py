@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import (SCAN_CELLS, ZERO_TOL, Fn, ZeroHit, as_function, differentiate, find_zeros,
-                       parse)
+from .exprlang import SCAN_CELLS, ZERO_TOL, Fn, ZeroHit, differentiate, find_zeros, parse
 
 __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
@@ -108,19 +107,20 @@ class Shift:
     """Circle diffeomorphism given by a monotone lift.
 
     lift_ext is the lift on all of R (L(x+1) = L(x) + orientation);
-    deriv is alpha'(t) as a function on the circle.  Both follow the
-    float-or-array convention of ``exprlang.as_function``.
+    deriv is alpha'(t) as a function on the circle.  Both are ``Fn``s, and
+    a callable passed for either becomes the checked leaf ``shift.lift``
+    resp. ``shift.lift'``.
     """
 
     def __init__(self, lift_ext: Callable, deriv: Callable, orientation: int):
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        self.lift_ext = lift_ext
-        self.deriv = deriv
+        self.lift_ext = Fn.of(lift_ext, "shift.lift")
+        self.deriv = Fn.of(deriv, "shift.lift'")
         self.orientation = orientation
         self._inv: Shift | None = None
         # one period of sigma*L, increasing: the lookup table of _solve_inverse
-        self._table = orientation * lift_ext(_TABLE_X)
+        self._table = orientation * self.lift_ext(_TABLE_X)
         steps = np.diff(self._table)
         if not np.all(steps > 0.0):
             k = int(np.argmin(steps))
@@ -130,12 +130,10 @@ class Shift:
     def from_lift(cls, lift, orientation: str = "auto") -> "Shift":
         """Build and validate a shift from a lift expression (string or Expr)."""
         lift_expr = parse(lift) if isinstance(lift, str) else lift
-        lf = as_function(lift_expr)
-        df = as_function(differentiate(lift_expr))
+        lf = Fn.of(lift_expr, "shift.lift")
+        df = Fn.of(differentiate(lift_expr), "shift.lift'")
 
         ls = lf(SCAN_GRID)
-        if not np.all(np.isfinite(ls)):
-            raise StructureError("lift evaluates to non-finite values on [0,1]")
         jump = ls[-1] - ls[0]
         if abs(abs(jump) - 1.0) > 1e-9:
             raise StructureError(f"|L(1)-L(0)| = {abs(jump)!r}, expected 1 within 1e-9")
@@ -148,15 +146,14 @@ class Shift:
         if np.min(diffs) <= 0.0:
             k = int(np.argmin(diffs))
             raise StructureError(f"lift is not strictly monotone near t={SCAN_GRID[k]:.6f}")
-        ds = df(SCAN_GRID)
-        if not np.all(np.isfinite(ds)) or np.min(np.abs(ds)) <= 0.0:
+        if np.min(np.abs(df(SCAN_GRID))) <= 0.0:
             raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
 
         def lift_ext(x):
             n = np.floor(x)
             return lf(x - n) + sigma * n
 
-        return cls(lift_ext, lambda t: df(wrap(t)), sigma)
+        return cls(Fn(lift_ext, "shift.lift"), df.wrap(), sigma)
 
     def __call__(self, t):
         return wrap(self.lift_ext(t))
@@ -219,11 +216,7 @@ class Shift:
         """The shift alpha_{-1}, with derivative 1/alpha'(alpha_{-1})."""
         if self._inv is not None:
             return self._inv
-
-        def deriv(t):
-            return 1.0 / self.deriv(wrap(self._solve_inverse(wrap(t))))
-
-        inv = Shift(self._solve_inverse, deriv, self.orientation)
+        inv = Shift(self._solve_inverse, 1.0 / self.deriv.compose(self, -1), self.orientation)
         inv._inv = self
         self._inv = inv
         return inv
@@ -234,8 +227,8 @@ class Shift:
             raise ValueError("power requires m >= 1")
         if m == 1:
             return self
-        return Shift(lambda x: _lift_power(self, m, x),
-                     lambda t: orbit_product(self.deriv, self, m, t), self.orientation ** m)
+        return Shift(lambda x: _lift_power(self, m, x), self.deriv.orbit(self, m),
+                     self.orientation ** m)
 
     def apply(self, t, k: int = 1):
         """alpha_k(t); negative k through the inverse lift."""
@@ -259,7 +252,7 @@ def orbit_product(f, shift: Shift, m: int, t):
     """f_m(t) = prod_{i=0}^{m-1} f(alpha_i(t))."""
     if m < 1:
         raise ValueError("orbit_product requires m >= 1")
-    fn = as_function(f)
+    fn = Fn.of(f)
     u = wrap(t)
     prod = fn(u)
     for _ in range(m - 1):
@@ -374,7 +367,7 @@ def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
     """
     m, branches = _periodic_branches(shift)
     # L^m(x) - x - n is zero at the fixed points of alpha_m on lift branch n
-    moved = Fn.of(lambda x: _lift_power(shift, m, x), "shift.lift") - Fn(lambda x: x, "t")
+    moved = Fn(lambda x: _lift_power(shift, m, x), "shift.lift") - Fn(lambda x: x, "t")
     found: list[tuple[int, list[ZeroHit]]] = []
     for n in branches:
         hits = find_zeros(moved - n, 0.0, 1.0)

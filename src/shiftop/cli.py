@@ -112,7 +112,8 @@ def build_operator(cfg: dict) -> OperatorSpec:
 
     try:
         shift = Shift.from_lift(lift, orientation=orientation)
-    except (exprlang.ExprError, StructureError) as exc:
+    # an EvalDomainError passes: it names its leaf, shift.lift or shift.lift'
+    except (exprlang.ParseError, StructureError) as exc:
         raise ConfigError(f"shift.lift: {exc}") from exc
     with _input_errors("a"):
         a = exprlang.parse(a_text)

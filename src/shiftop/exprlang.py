@@ -29,7 +29,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Pi", "Var", "Unary", "Binary",
     "ExprError", "ParseError", "EvalDomainError",
-    "parse", "serialize", "evaluate", "as_function", "check_finite", "Fn",
+    "parse", "serialize", "evaluate", "as_function", "Fn",
     "differentiate", "is_periodic",
     "ZeroHit", "find_zeros",
 ]
@@ -316,7 +316,8 @@ def as_function(e) -> Callable:
 
     A float in gives a float out; an ndarray in gives an ndarray of the
     same shape out, also for t-free expressions.  Domain violations surface
-    as non-finite values, which ``Fn`` leaves check.
+    as non-finite values, which ``Fn`` leaves check (the one finiteness
+    check of the package).
     """
     if callable(e):
         return e
@@ -333,24 +334,18 @@ def as_function(e) -> Callable:
     return fn
 
 
-def check_finite(e, ts, values) -> None:
-    """Raise EvalDomainError at the first t whose value (of e at ts) is not
-    finite; an Expr e is re-evaluated there to name the offending node."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        t = float(np.atleast_1d(ts)[np.atleast_1d(bad)][0])
-        if e is not None and not callable(e):
-            evaluate(e, t)
-        raise EvalDomainError("non-finite evaluation", t=t)
-
-
 def _checked(call: Callable, name: str | None, expr=None) -> Callable:
-    """call, whose non-finite values raise EvalDomainError prefixed with name."""
+    """call, whose non-finite values raise EvalDomainError prefixed with name
+    at the first such t; an Expr expr is re-evaluated there to name the
+    offending node."""
     def checked(t):
         v = call(t)
         if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            bad = float(np.atleast_1d(t)[~np.isfinite(np.atleast_1d(v))][0])
             try:
-                check_finite(expr, t, v)
+                if expr is not None:
+                    evaluate(expr, bad)
+                raise EvalDomainError("non-finite evaluation", t=bad)
             except EvalDomainError as exc:
                 if name:
                     exc.args = (f"{name}: {exc}",)
@@ -379,13 +374,13 @@ class Fn:
     """A function of t that a verdict, a spectrum or the oracle evaluates.
 
     A leaf (``Fn.of``) is what ``as_function`` returns for a coefficient,
-    weight or right-hand side, with a label such as ``a`` or ``--weight``.
-    Where a leaf's or a quotient's value is not finite, EvalDomainError
-    names the label (or the quotient), the failing subexpression and the t.
-    Nodes give + - * /, unary minus, abs, wrap, composition f(alpha_k(t))
-    and the orbit product f_m, with the float operations of the plain
-    expression.  ``Fn(call, name)`` is an unchecked node, for the shift's
-    own functions.
+    weight, right-hand side or shift lift, with a label such as ``a``,
+    ``--weight`` or ``shift.lift'``.  Where a leaf's or a quotient's value is
+    not finite, EvalDomainError names the label (or the quotient), the
+    failing subexpression and the t.  Nodes give + - * /, unary minus, abs,
+    wrap, composition f(alpha_k(t)) and the orbit product f_m, with the
+    float operations of the plain expression.  ``Fn(call, name)`` is an
+    unchecked node over functions that are themselves checked.
     """
 
     __slots__ = ("_call", "name")

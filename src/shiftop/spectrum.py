@@ -164,8 +164,8 @@ def one_sided_core_annuli(shift: Shift, arc: GammaArc,
     shift_spectrum gives the weight 1, degenerating to circles when the
     indices coincide.  m is the shift's multiplicity."""
     m = detect_orientation_and_multiplicity(shift)[1]
-    one = lambda t: 1.0
-    return tuple(Annulus(*(r ** (1.0 / m) for r in _delta_Delta(one, shift, m, x, tau)))
+    deriv_m = shift.deriv.orbit(shift, m)
+    return tuple(Annulus(*(r ** (1.0 / m) for r in x.dilation_pair(deriv_m(tau))))
                  for tau in (arc.tau_minus, arc.tau_plus))
 
 

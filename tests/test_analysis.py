@@ -445,3 +445,17 @@ class TestReduction:
             op_m, cond = so.reduce_to_fixed(op)
             report_m = so.decide(op_m)
             assert report.right == (report_m.right and cond), (a, b, lift)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # a(0.3) = b(0.3) = 0 on the Gamma4 arc (0, 0.5); 0.3 was no sample of
+        # the old 2049-point grid, whose minimum of |a| + |b| read about 6e-4
+        ("sin(2*pi*(t-0.3))", "sin(2*pi*(t-0.3))", False),
+        # a vanishes on [1/8, 3/8], where b crosses zero at 0.3 (not at an end)
+        ("0.5*(cos(4*pi*t)+abs(cos(4*pi*t)))", "sin(2*pi*(t-0.3))", False),
+        ("0.5*(cos(4*pi*t)+abs(cos(4*pi*t)))", "1+0.5*sin(2*pi*t)", True),
+    ])
+    def test_joint_zero_between_samples(self, idx, a, b, expected):
+        op = so.operator_spec(a, b, "-t-0.05*sin(2*pi*t)", idx)
+        assert {c.region for _, c in so.build_partition(op).arcs} == {"gamma4"}
+        _, cond = so.reduce_to_fixed(op)
+        assert cond is expected

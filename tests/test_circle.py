@@ -247,6 +247,18 @@ class TestStructure:
         ps = so.compute_periodic_structure(shift)
         assert ps.uncertain
 
+    def test_lambda_arc_fused_across_seam(self):
+        # the lift is the identity on [0, 1/6] and [5/6, 1], which the scan
+        # finds as two flat runs; they fuse into one arc through 0 == 1
+        shift = so.Shift.from_lift("t+0.05*((sin(pi*t))^2-0.25+abs((sin(pi*t))^2-0.25))")
+        ps = so.compute_periodic_structure(shift)
+        assert (ps.m, ps.lambda_points) == (1, ())
+        assert ps.lambda_arcs == (Arc(0.8333333332961956, 1.1666666667038044),)
+        (g,) = ps.gamma
+        assert (g.start, g.end) == pytest.approx((1 / 6, 5 / 6), abs=1e-9)
+        assert g.tau_plus == g.end
+        assert [ps.in_lambda(t) for t in (0.0, 0.9, 0.5)] == [True, True, False]
+
     def test_boundary_and_interior_are_derived(self, s1_structure):
         ps = dataclasses.replace(s1_structure, lambda_points=(0.5,),
                                  lambda_arcs=(Arc(0.75, 1.125),))
@@ -299,6 +311,24 @@ class TestArc:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Arc(0.5, 0.4)
+
+
+class TestShiftFunctions:
+    """The lift and derivative of every shift are Fn leaves or nodes."""
+
+    def test_lift_and_derivative_are_fns(self, s1):
+        shifts = {"from_lift": s1, "inverse": s1.inverse(), "power": s1.power(2),
+                  "callable": so.Shift(lambda x: x + 0.5, lambda t: 1.0 + 0.0 * t, 1)}
+        for name, shift in shifts.items():
+            assert isinstance(shift.lift_ext, so.exprlang.Fn), name
+            assert isinstance(shift.deriv, so.exprlang.Fn), name
+
+    def test_callable_lift_is_checked_leaf(self):
+        # NaN at 0.3 only, which is no node of the shift's table
+        shift = so.Shift(lambda x: np.where(x == 0.3, np.nan, x + 0.5), lambda t: 1.0 + 0.0 * t, 1)
+        message = r"^shift\.lift: non-finite evaluation at t=0\.3$"
+        with pytest.raises(so.EvalDomainError, match=message):
+            shift.lift_ext(np.array([0.8, 0.3]))
 
 
 class TestFloatOrArray:

@@ -119,6 +119,25 @@ class TestAnalyze:
         assert err == (f"config error: a: sqrt of negative value in "
                        f"sqrt(((sin((pi * (t - {tau}))) ^ 2.0) - 1e-20)) at t={tau}\n")
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_lift_derivative_not_finite_at_fixed_point_exit_2(self, tmp_path, capsys, command):
+        # alpha' is 0/0 only at the attracting fixed point, between the scan
+        # nodes; analyze once crashed on "eta0": NaN and verify said "disagree"
+        tau = "0.5484933420107154"
+        lift = f"t+0.03+0.1*sin(2*pi*t)+0.001*abs(sin(2*pi*(t-{tau})))"
+        err = run_error([command, "-c", write_config(tmp_path, shift={"lift": lift})], capsys)
+        u = f"sin(((2.0 * pi) * (t - {tau})))"
+        assert err == (f"config error: shift.lift': division by zero in "
+                       f"(({u} * (cos(((2.0 * pi) * (t - {tau}))) * (2.0 * pi))) / abs({u})) "
+                       f"at t={tau}\n")
+
+    def test_lift_not_finite_names_it_once(self, tmp_path, capsys):
+        # the leaf names shift.lift; the CLI adds no second prefix
+        lift = "t+0.05*sin(2*pi*t)+0*sqrt(t-0.5)"
+        err = run_error(["analyze", "-c", write_config(tmp_path, shift={"lift": lift})], capsys)
+        assert err == ("config error: shift.lift: sqrt of negative value in sqrt((t - 0.5)) "
+                       "at t=0.0\n")
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         out1 = tmp_path / "r1.json"

@@ -1,5 +1,5 @@
 """Every place a verdict, a spectrum or the oracle evaluates a coefficient,
-weight or right-hand side checks it there.
+weight, right-hand side, shift lift or lift derivative checks it there.
 
 Each case makes one input undefined (NaN) only within about 3e-11 of one
 point that the site evaluates: a scan node of the site's own grid, a fixed
@@ -60,6 +60,9 @@ def _neumann(b, f):
 
 
 CASES = {
+    # the fixed-point bisection of compute_periodic_structure reads the lift near TAU
+    "lift_fixed_point": ("shift.lift", lambda: so.compute_periodic_structure(
+        so.Shift.from_lift(times_one(OFF_GRID, TAU)))),
     # sigma_A on the Carleman arc of the identity (its 257-sample record)
     "sigma_gamma1": ("a", lambda: _decide("t", "2+" + nan_at(0.25), "1")),
     # sigma_A = a_m on the Gamma2 arcs, sigma_A = -b_m on the Gamma3 arcs
@@ -70,9 +73,10 @@ CASES = {
     # eta at a fixed point that is no grid node
     "eta_fixed_point": ("a", lambda: _decide(OFF_GRID, nan_at(TAU), "3")),
     "adjoint_b_star": ("b", _adjoint),
-    # the no-joint-zero test of reduce_to_fixed (m = 2, Gamma4 arcs, 2049 samples)
+    # the no-joint-zero test of reduce_to_fixed (m = 2, Gamma4 arcs) reads b
+    # at the zeros of a, here 0.25
     "joint_zero_m2": ("b", lambda: so.reduce_to_fixed(so.operator_spec(
-        "0.75+0.25*cos(2*pi*t)", times_one(G4_B, 0.25), "-t-0.05*sin(2*pi*t)", _idx()))),
+        G4_A, times_one(G4_B, 0.25), "-t-0.05*sin(2*pi*t)", _idx()))),
     # shift_spectrum samples the moving arc (0, 0.5) at 513 points
     "shift_spectrum_weight": ("weight", lambda: _spectrum("1+0*" + nan_at(0.25), S1, False)),
     # radius_bound reads the weight at the periodic points
@@ -88,3 +92,11 @@ def test_undefined_input_named_where_evaluated(case):
     label, call = CASES[case]
     with pytest.raises(so.EvalDomainError, match=rf"^{re.escape(label)}: sqrt of negative value"):
         call()
+
+
+def test_undefined_lift_derivative_named_at_fixed_point():
+    # alpha' is 0/0 only at TAU, where eta reads it: no verdict, whatever eta would be
+    lift = f"{OFF_GRID}+0.001*abs(sin(2*pi*(t-{TAU!r})))"
+    with pytest.raises(so.EvalDomainError,
+                       match=rf"^shift\.lift': division by zero in .* at t={TAU!r}$"):
+        _decide(lift, "2", "1")

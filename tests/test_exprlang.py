@@ -249,6 +249,14 @@ class TestFindZeros:
         assert ivals[0].lo == pytest.approx(0.0, abs=1e-6)
         assert ivals[0].hi == pytest.approx(0.5, abs=1e-2)
 
+    def test_flat_run_mid_scan(self):
+        # zero on [0, 1/6] and [5/6, 1]: the second run starts mid-scan, and
+        # its start is bisected between two nodes
+        e = ex.parse("(sin(pi*t))^2-0.25+abs((sin(pi*t))^2-0.25)")
+        got = [(h.kind, h.lo, h.hi) for h in ex.find_zeros(e, 0.1, 0.9)]
+        assert got == [("interval", 0.1, 0.16666666666824315),
+                       ("interval", 0.8333333333317569, 0.9)]
+
     def test_domain_error_inside(self):
         with pytest.raises(ex.EvalDomainError):
             ex.find_zeros(ex.parse("log(t-0.5)"), 0.0, 1.0)
@@ -280,25 +288,27 @@ class TestFn:
 
 
 class TestCheckFinite:
+    """The leaf check of Fn.of, the one finiteness check."""
+
     def test_finite_passes(self):
         xs = np.linspace(0.0, 1.0, 5)
-        ex.check_finite(ex.parse("t"), xs, xs)
+        assert np.array_equal(ex.Fn.of(ex.parse("t"))(xs), xs)
 
     def test_expr_names_node(self):
         e = ex.parse("1+log(t-0.5)")
         xs = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ex.EvalDomainError, match=r"log\(\(t - 0.5\)\) at t=0.0"):
-            ex.check_finite(e, xs, ex.as_function(e)(xs))
+            ex.Fn.of(e)(xs)
 
     def test_callable_reports_first_bad_point(self):
         xs = np.array([0.1, 0.2, 0.3])
         with pytest.raises(ex.EvalDomainError, match="t=0.2") as err:
-            ex.check_finite(lambda t: t, xs, np.array([1.0, np.inf, np.nan]))
+            ex.Fn.of(lambda t: np.array([1.0, np.inf, np.nan]))(xs)
         assert err.value.t == 0.2
 
     def test_scalar(self):
         with pytest.raises(ex.EvalDomainError, match="t=0.5"):
-            ex.check_finite(lambda t: t, 0.5, float("nan"))
+            ex.Fn.of(lambda t: float("nan"))(0.5)
 
 
 class TestPeriodicity:

@@ -1,13 +1,16 @@
-"""Property tests: decide against the closed-form spectrum, and adjoint duality.
+"""Property tests: decide against the closed-form spectrum, adjoint duality,
+invariance under rotation conjugation, and the reduction to fixed points.
 
 Inputs are trig polynomials of degree <= 2 on six lifts: three with fixed
 points only, the half turn and the reflection (m = 2, all points periodic)
-and the identity (m = 1, all points fixed).  Examples that `decide` calls
-`undecidable`, or whose membership answer is "boundary", are skipped and
-counted; a test that skips more than a third of its examples fails, so it
-cannot pass by skipping.
+and the identity (m = 1, all points fixed); the reduction also runs on a
+reflection with moving arcs.  Examples that `decide` calls `undecidable`,
+or whose membership answer is "boundary", are skipped and counted; a test
+that skips more than a third of its examples fails, so it cannot pass by
+skipping.
 """
 
+import re
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -88,6 +91,58 @@ def test_adjoint_duality():
             counts["skip"] += 1
             return
         assert (r.right, r.left) == (radj.left, radj.right), (r.verdict, radj.verdict)
+
+    check()
+    assert_few_skips(counts)
+
+
+def rotated(e: str, c: float, lift: bool = False) -> str:
+    """e(t + c), and for a lift e(t + c) - c: the conjugate by the rotation t -> t + c."""
+    moved = re.sub(r"\bt\b", f"(t+{c!r})", e)
+    return f"{moved}-{c!r}" if lift else moved
+
+
+def test_rotation_conjugation_invariance():
+    """Conjugating the shift and both coefficients by t -> t + c keeps the verdict."""
+    counts = {"run": 0, "skip": 0}
+
+    # every lift but the identity, which conjugates to itself
+    @settings(SETTINGS, max_examples=75)
+    @given(st.sampled_from(LIFTS[:5]), st.sampled_from(SPACES), general, general,
+           st.integers(1, 99).map(lambda k: k / 100))
+    def check(lift, space, a, b, c):
+        counts["run"] += 1
+        shift, ps = shift_and_structure(lift)
+        verdict = so.decide(so.operator_spec(a, b, shift, space, structure=ps)).verdict
+        op_c = so.operator_spec(rotated(a, c), rotated(b, c), rotated(lift, c, lift=True), space)
+        verdict_c = so.decide(op_c).verdict
+        if "undecidable" in (verdict, verdict_c):
+            counts["skip"] += 1
+            return
+        assert verdict == verdict_c
+
+    check()
+    assert_few_skips(counts)
+
+
+def test_reduction_to_fixed_points():
+    """On m = 2 shifts, A is right invertible exactly when A_m is and the
+    no-joint-zero condition of reduce_to_fixed holds."""
+    counts = {"run": 0, "skip": 0}
+
+    @settings(SETTINGS, max_examples=75)
+    @given(st.sampled_from(("t+0.5", "1-t", "-t-0.05*sin(2*pi*t)")), st.sampled_from(SPACES),
+           general, general)
+    def check(lift, space, a, b):
+        counts["run"] += 1
+        shift, ps = shift_and_structure(lift)
+        op = so.operator_spec(a, b, shift, space, structure=ps)
+        op_m, cond = so.reduce_to_fixed(op)
+        r, r_m = so.decide(op), so.decide(op_m)
+        if "undecidable" in (r.verdict, r_m.verdict):
+            counts["skip"] += 1
+            return
+        assert r.right == (r_m.right and cond), (r.verdict, r_m.verdict, cond)
 
     check()
     assert_few_skips(counts)

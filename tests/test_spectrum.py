@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,8 +100,15 @@ class TestShiftSpectrum:
         ss = so.shift_spectrum(d, s1, s1_structure, idx)
         assert any(a.r_in == 0.0 for a in ss.raw_annuli)
 
+    def test_disjoint_annuli_stay_apart(self, s1, s1_structure, idx):
+        # the Y' point 0.2 sits under the weight's peak: its annulus lies
+        # outside the moving arcs' (merged) annulus
+        ps = replace(s1_structure, yprime=(0.2,))
+        ss = so.shift_spectrum(so.parse("1+0.9*exp(-((t-0.2)/0.01)^2)"), s1, ps, idx)
+        got = [(round(a.r_in, 4), round(a.r_out, 4)) for a in ss.annuli]
+        assert got == [(0.7837, 1.6403), (1.7387, 1.7909)]
+
     def test_yprime_annulus_included(self, s1, s1_structure, idx):
-        from dataclasses import replace
         ps = replace(s1_structure, yprime=(0.2,))
         ss_plain = so.shift_spectrum(so.parse("1"), s1, s1_structure, idx)
         ss = so.shift_spectrum(so.parse("1"), s1, ps, idx)
