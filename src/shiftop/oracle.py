@@ -2,8 +2,8 @@
 
 Corroborates the closed-form results numerically: spectral radii of
 weighted shifts from their orbit norms, residual/singular-value ladders
-from one lstsq per matrix as invertibility evidence, and truncated Neumann
-inverses with measured decay ratios.  Everything here is evidence, not proof.
+as invertibility evidence, and truncated Neumann inverses with measured
+decay ratios.  Everything here is evidence, not proof.
 
 On L^p the powers of a weighted shift have the exact norms
 ||(gW)^n|| = sup_t |g_n(t)| |alpha_n'(t)|^{-1/p}, so the radius estimate
@@ -16,9 +16,13 @@ One ``GridOperator`` serves the rest: A_N itself and the Neumann iterate
 (b/a)*W or (a/b)*W^{-1}, a weighted shift g*W with a = 0 and b = -g.  It
 is matrix-free: the 4-point stencil is stored slot-major, so each product
 is one gather and one contraction, with -b folded into the weights of
-``apply`` once per grid and the a*v term dropped where a = 0.  Only the
-invertibility ladder builds the dense matrix.  Coefficients and right-hand
-sides are ``exprlang.Fn`` leaves, checked finite wherever evaluated.
+``apply`` once per grid and the a*v term dropped where a = 0.  On a
+well-conditioned rung of the invertibility ladder, s_min comes from the
+eigenvalues of A_N^T A_N, scattered from the stencil, and x from CGLS on
+``apply`` and ``apply_P_transpose``; only an ill-conditioned rung, or one
+where CGLS misses its stop, builds the dense A_N for one lstsq.
+Coefficients and right-hand sides are ``exprlang.Fn`` leaves, checked
+finite wherever evaluated.
 """
 
 from __future__ import annotations
@@ -44,6 +48,13 @@ DEFAULT_P = 2.0
 DEFAULT_SEED = 0x5EED
 SMIN_FLOOR = 1e-10
 RADIUS_RTOL = 1e-13  # two successive radius ratios this close end the orbit sweep
+# invertibility ladder: the Gram's eigenvalues give s_min while
+# lambda_min / lambda_max > GRAM_RCOND (kappa(A) < 1e4, s_min to ~1e-8
+# relative); CGLS stops at a residual of CGLS_RTOL |f| or after
+# CGLS_ITERS_PER_N * N steps
+GRAM_RCOND = 1e-8
+CGLS_RTOL = 1e-14
+CGLS_ITERS_PER_N = 4
 
 
 def _lagrange_stencil(positions: np.ndarray, N: int):
@@ -69,7 +80,8 @@ class GridOperator:
     weights wts[:, i] in the columns idx[:, i].  Every product is one
     gather v[idx] and one contraction over the 4 slots, and goes through
     exactly one of apply, apply_P and apply_P_transpose.  The only
-    transpose is apply_P_transpose, P^T v as one bincount.  Norms are the
+    transpose is apply_P_transpose, P^T v as one bincount; ``gram``
+    scatters A_N^T A_N from the same stencil.  Norms are the
     weighted discrete p-norm with weights 1/N.  ``shift`` and ``b`` are the
     shift and the coefficient (an ``Fn``) the grid sampled; for g*W, b is the
     weight g and b_vals = -g(nodes).
@@ -118,6 +130,16 @@ class GridOperator:
             np.fill_diagonal(A, diag)
             self._dense = A
         return self._dense
+
+    def gram(self) -> np.ndarray:
+        """A_N^T A_N, by one bincount of each row's 5 x 5 entry products:
+        row i holds a_i in column i and -b_i wts[:, i] in columns idx[:, i]."""
+        N = self.N
+        cols = np.vstack([np.arange(N), self.idx])
+        vals = np.vstack([self.a_vals, self._neg_bw])
+        return np.bincount((cols[:, None] * N + cols[None]).ravel(),
+                           weights=(vals[:, None] * vals[None]).ravel(),
+                           minlength=N * N).reshape(N, N)
 
     def norm(self, v: np.ndarray) -> float:
         return float((np.sum(np.abs(v) ** self.p) / self.N) ** (1.0 / self.p))
@@ -211,7 +233,13 @@ def estimate_radius_numeric(grid: GridOperator, iters: int = 200) -> RadiusEstim
 
 @dataclass(frozen=True)
 class EvidenceRecord:
-    """Invertibility evidence across a grid ladder.  EVIDENCE, not proof."""
+    """Invertibility evidence across a grid ladder.  EVIDENCE, not proof.
+
+    Each rung holds N and, for A and (suffix ``_adjoint``) its adjoint, the
+    smallest singular value s_min of A_N, the relative residual resid and
+    the relative norm x_norm of the least-squares solution of A_N x = f.
+    ``invertibility_evidence`` says which rungs come from the Gram and CGLS
+    and which from lstsq."""
 
     verdict_expected: str | None
     rungs: tuple[dict, ...]
@@ -231,14 +259,69 @@ def _smooth_rhs(N: int, rng: np.random.Generator) -> np.ndarray:
     return f
 
 
-def _section(spec: OperatorSpec, N: int, p: float, seed: int, tag: str = "") -> dict:
-    """One finite section: one lstsq (gelsd) gives x and the singular values."""
-    A = discretize(spec, N, p).matrix()
+def _cgls(grid: GridOperator, f: np.ndarray, maxiter: int) -> np.ndarray | None:
+    """CGLS (CG on A^T A x = A^T f) on the matrix-free A of the grid:
+    A v = apply(v), A^T v = a*v - P^T(b*v).  Returns x once the updated
+    residual |f - A x| falls to CGLS_RTOL |f|, or None after maxiter steps
+    (Björck, Numerical Methods for Least Squares Problems, 1996, ch. 7)."""
+    def apply_T(v):
+        return grid.a_vals * v - grid.apply_P_transpose(grid.b_vals * v)
+
+    x, r = np.zeros(grid.N), f.copy()
+    stop = CGLS_RTOL * np.linalg.norm(f)
+    s = apply_T(r)
+    p, gamma = s.copy(), s @ s
+    for _ in range(maxiter):
+        q = grid.apply(p)
+        qq = q @ q
+        if qq == 0.0:      # p = 0: A^T r vanished before the residual did
+            return None
+        alpha = gamma / qq
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= stop:
+            return x
+        s = apply_T(r)
+        gamma, gamma_prev = s @ s, gamma
+        p = s + (gamma / gamma_prev) * p
+    return None
+
+
+def _section(spec: OperatorSpec, N: int, p: float, seed: int,
+             tag: str, try_gram: bool) -> tuple[dict, bool]:
+    """One finite section, and whether the next rung may try the Gram.
+
+    With `try_gram`, s_min is the square root of the smallest eigenvalue of
+    A^T A, built from the stencil (``GridOperator.gram``), and x comes from
+    CGLS.  An ill-conditioned Gram (lambda_min <= GRAM_RCOND lambda_max,
+    where its eigenvalues lose the digits s_min needs) or a CGLS that
+    misses its stop within CGLS_ITERS_PER_N * N steps falls back to one
+    lstsq (gelsd) of the dense A_N, which gives x and the singular values."""
+    grid = discretize(spec, N, p)
     f = _smooth_rhs(N, np.random.default_rng(seed + N))
-    x, _, _, sv = np.linalg.lstsq(A, f, rcond=1e-10)
+    x = None
+    if try_gram:
+        lam = np.linalg.eigvalsh(grid.gram())
+        try_gram = lam[0] > GRAM_RCOND * lam[-1]
+        if try_gram:
+            s_min = math.sqrt(lam[0])
+            x = _cgls(grid, f, CGLS_ITERS_PER_N * N)
+    if x is None:
+        x, _, _, sv = np.linalg.lstsq(grid.matrix(), f, rcond=1e-10)
+        s_min = float(sv[-1])
     nf = np.linalg.norm(f)
-    return {f"s_min{tag}": float(sv[-1]), f"resid{tag}": float(np.linalg.norm(A @ x - f) / nf),
-            f"x_norm{tag}": float(np.linalg.norm(x) / nf)}
+    return ({f"s_min{tag}": s_min, f"resid{tag}": float(np.linalg.norm(grid.apply(x) - f) / nf),
+             f"x_norm{tag}": float(np.linalg.norm(x) / nf)}, try_gram)
+
+
+def _ladder(spec: OperatorSpec, ladder, p: float, seed: int, tag: str = "") -> list[dict]:
+    """The sections of one operator up the ladder; once a rung's Gram is
+    ill-conditioned, the larger rungs go straight to lstsq."""
+    rows, try_gram = [], True
+    for N in ladder:
+        row, try_gram = _section(spec, N, p, seed, tag, try_gram)
+        rows.append(row)
+    return rows
 
 
 def invertibility_evidence(op: OperatorSpec, N_ladder=DEFAULT_LADDER,
@@ -252,15 +335,18 @@ def invertibility_evidence(op: OperatorSpec, N_ladder=DEFAULT_LADDER,
     vanishing smooth-data residual; a nowhere-invertible operator shows
     s_min at the floor or decaying at least twofold across the ladder.
     One-sided operators are reported through the asymmetry of the residuals
-    of A and its adjoint.  s_min, always the 2-norm proxy, is the last
-    singular value returned by the one lstsq (gelsd) solve of each matrix.
+    of A and its adjoint.  s_min is always the 2-norm proxy.  Each operator
+    climbs the ladder on the Gram path of ``_section`` (s_min from the
+    eigenvalues of A_N^T A_N, x by CGLS, no dense A_N) until a rung is
+    ill-conditioned; that rung and every larger one take s_min and x from
+    one lstsq (gelsd) of A_N, as does a rung where CGLS misses its stop.
     """
     ladder = tuple(N_ladder)
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("N_ladder must be ascending with at least 3 rungs")
-    adj = adjoint_spec(op)
-    rungs = [{"N": N, **_section(op, N, p, seed), **_section(adj, N, p, seed, "_adjoint")}
-             for N in ladder]
+    rungs = [{"N": N, **row, **row_adj} for N, row, row_adj in
+             zip(ladder, _ladder(op, ladder, p, seed),
+                 _ladder(adjoint_spec(op), ladder, p, seed, "_adjoint"))]
 
     smins = [r["s_min"] for r in rungs]
     resids = [r["resid"] for r in rungs]

@@ -233,20 +233,74 @@ class TestEvidence:
             assert "resid" in r and "resid_adjoint" in r and "s_min_adjoint" in r
 
     def test_one_factorisation_per_matrix(self, fixture_suite, monkeypatch):
-        calls = {"lstsq": 0, "svd": 0}
+        # a well-conditioned rung is one eigvalsh of the Gram and CGLS, with
+        # no dense A_N; F4 is ill-conditioned from its first rung, so each
+        # ladder makes one eigvalsh and then one lstsq per rung
+        calls = {"lstsq": 0, "svd": 0, "eigvalsh": 0, "matrix": 0}
 
-        def counted(name):
-            fn = getattr(np.linalg, name)
+        def counted(owner, name):
+            fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
-        so.invertibility_evidence(fixture_suite["F4"][0], N_ladder=(64, 128, 256))
-        assert calls == {"lstsq": 6, "svd": 0}
+        for name in ("lstsq", "svd", "eigvalsh"):
+            counted(np.linalg, name)
+        counted(so.GridOperator, "matrix")
+        ladder = (64, 128, 256)
+        so.invertibility_evidence(fixture_suite["F1"][0], N_ladder=ladder)
+        assert calls == {"lstsq": 0, "svd": 0, "eigvalsh": 6, "matrix": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        so.invertibility_evidence(fixture_suite["F4"][0], N_ladder=ladder)
+        assert calls == {"lstsq": 6, "svd": 0, "eigvalsh": 2, "matrix": 6}
+
+    def test_default_ladder_flags(self, suite_evidence):
+        flags = {name: (ev.consistent_two_sided, ev.consistent_neither)
+                 for name, ev in suite_evidence.items()}
+        assert flags == {"F1": (True, False), "F2": (True, True), "F4": (False, True),
+                         "F5": (False, True), "F6": (False, True), "F7": (False, True),
+                         "F8": (False, True), "F9": (True, False)}
+
+    @pytest.mark.parametrize("name", ["F1", "F5", "F9"])
+    def test_fast_path_matches_dense_lstsq(self, fixture_suite, monkeypatch, name):
+        op, ladder = fixture_suite[name][0], (64, 128, 256)
+        want = {}
+        for tag, spec in (("", op), ("_adjoint", so.adjoint_spec(op))):
+            for N in ladder:
+                f = so.oracle._smooth_rhs(N, np.random.default_rng(so.oracle.DEFAULT_SEED + N))
+                x = np.linalg.lstsq(so.discretize(spec, N, 2.0).matrix(), f, rcond=1e-10)[0]
+                want[tag, N] = np.linalg.norm(x) / np.linalg.norm(f)
+
+        def refuse(self):
+            raise AssertionError("dense A_N on a well-conditioned rung")
+
+        monkeypatch.setattr(so.GridOperator, "matrix", refuse)
+        ev = so.invertibility_evidence(op, N_ladder=ladder)
+        for (tag, N), x_norm in want.items():
+            row = ev.rungs[ladder.index(N)]
+            assert row[f"x_norm{tag}"] == pytest.approx(x_norm, rel=1e-10), (tag, N)
+            assert row[f"resid{tag}"] <= 1e-12, (tag, N)
+
+    def test_cgls_miss_falls_back_to_lstsq(self, fixture_suite, monkeypatch):
+        ladder = (64, 128, 256)
+        ops = [fixture_suite[name][0] for name in ("F1", "F5", "F9")]
+        fast = [so.invertibility_evidence(op, N_ladder=ladder) for op in ops]
+        # capped at one step, CGLS misses its stop on every rung
+        cgls, calls = so.oracle._cgls, []
+        monkeypatch.setattr(so.oracle, "_cgls", lambda grid, f, maxiter: cgls(grid, f, 1))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, fn=np.linalg.lstsq, **kw: calls.append(1) or fn(*args, **kw))
+        for op, ev in zip(ops, fast):
+            calls.clear()
+            slow = so.invertibility_evidence(op, N_ladder=ladder)
+            assert len(calls) == 6
+            assert (slow.consistent_two_sided, slow.consistent_neither) == \
+                (ev.consistent_two_sided, ev.consistent_neither)
+            for row, want in zip(slow.rungs, ev.rungs):
+                for key in ("s_min", "s_min_adjoint"):
+                    assert row[key] == pytest.approx(want[key], rel=1e-6), key
 
     def test_s_min_matches_dense_svd(self, fixture_suite):
         ladder = (64, 128, 256)

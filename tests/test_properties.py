@@ -1,5 +1,6 @@
 """Property tests: decide against the closed-form spectrum, adjoint duality,
-invariance under rotation conjugation, and the reduction to fixed points.
+invariance under rotation conjugation, the reduction to fixed points, and
+constant coefficients against the spectrum of W.
 
 Inputs are trig polynomials of degree <= 2 on six lifts: three with fixed
 points only, the half turn and the reflection (m = 2, all points periodic)
@@ -143,6 +144,34 @@ def test_reduction_to_fixed_points():
             counts["skip"] += 1
             return
         assert r.right == (r_m.right and cond), (r.verdict, r_m.verdict, cond)
+
+    check()
+    assert_few_skips(counts)
+
+
+def test_constant_coefficients_against_spectrum_of_W():
+    """For a = z and b = 1 on S1, A = zI - W is two-sided invertible exactly
+    when z lies outside the spectrum of W, and invertible from neither side
+    exactly when |z| lies in the one-sided core of an arc: an annulus where
+    the left and right spectra of W meet."""
+    counts = {"run": 0, "skip": 0}
+    shift, ps = shift_and_structure(LIFTS[0])
+    tol = 1e-9   # spectrum_contains' band at the radii
+
+    @settings(SETTINGS, max_examples=100)
+    @given(st.sampled_from(SPACES), st.integers(-3000, 3000).map(lambda k: k / 1000))
+    def check(space, z):
+        counts["run"] += 1
+        verdict = so.decide(so.operator_spec(repr(z), "1", shift, space, structure=ps)).verdict
+        member = so.spectrum_contains(so.shift_spectrum(so.parse("1"), shift, ps, space), z)
+        cores = [c for arc in ps.gamma for c in so.one_sided_core_annuli(shift, arc, space)]
+        on_core_edge = any(min(abs(abs(z) - c.r_in), abs(abs(z) - c.r_out)) <= tol for c in cores)
+        if verdict == "undecidable" or member == "boundary" or on_core_edge:
+            counts["skip"] += 1
+            return
+        assert (verdict == "two_sided") == (member == "outside"), (verdict, member)
+        in_core = any(c.r_in < abs(z) < c.r_out for c in cores)
+        assert (verdict == "neither") == in_core, (verdict, z)
 
     check()
     assert_few_skips(counts)
