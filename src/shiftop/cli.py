@@ -18,7 +18,7 @@ from .circle import Shift, StructureError
 from .indices import lebesgue, space_indices
 from .analysis import OperatorSpec, decide, operator_spec
 from .spectrum import SAMPLES, radius_bound, shift_spectrum, spectrum_to_csv
-from .oracle import DEFAULT_LADDER, DEFAULT_P, DEFAULT_SEED, invertibility_evidence
+from .oracle import DEFAULT_LADDER, DEFAULT_SEED, invertibility_evidence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,8 +30,7 @@ CONFIG_FIELDS = {
     "a": (str, None), "b": (str, None),
     "space.alpha": (float, None), "space.beta": (float, None),
     "space.fundamental_type": (bool, True),
-    "oracle.grids": (list, DEFAULT_LADDER), "oracle.p": (float, DEFAULT_P),
-    "oracle.seed": (int, DEFAULT_SEED),
+    "oracle.grids": (list, DEFAULT_LADDER), "oracle.seed": (int, DEFAULT_SEED),
 }
 
 
@@ -216,12 +215,9 @@ def cmd_verify(args) -> int:
     op = build_operator(cfg)
     report = decide(op)
     grids = _require(cfg, "oracle.grids")
-    p = _require(cfg, "oracle.p")
     seed = _require(cfg, "oracle.seed")
-    if not all(type(n) is int for n in grids):
-        raise ConfigError("oracle.grids must be a list of int")
     try:
-        evidence = invertibility_evidence(op, N_ladder=tuple(grids), p=p, seed=seed,
+        evidence = invertibility_evidence(op, N_ladder=grids, seed=seed,
                                           verdict=report.verdict)
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from exc

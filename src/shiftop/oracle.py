@@ -18,9 +18,12 @@ is matrix-free: the 4-point stencil is stored slot-major, so each product
 is one gather and one contraction, with -b folded into the weights of
 ``apply`` once per grid and the a*v term dropped where a = 0.  On a
 well-conditioned rung of the invertibility ladder, s_min comes from the
-eigenvalues of A_N^T A_N, scattered from the stencil, and x from CGLS on
-``apply`` and ``apply_P_transpose``; only an ill-conditioned rung, or one
-where CGLS misses its stop, builds the dense A_N for one lstsq.
+eigenvalues of A_N^T A_N and x from CGLS on ``apply`` and
+``apply_P_transpose``; only an ill-conditioned rung, or one where CGLS
+misses its stop, builds the dense A_N for one lstsq.  A_N and its Gram
+are scattered from one list of each row's stencil entries.  The ladder's
+numbers are l^2 (uniform-grid L^2) quantities whatever the space's Boyd
+indices are.
 Coefficients and right-hand sides are ``exprlang.Fn`` leaves, checked
 finite wherever evaluated.
 """
@@ -42,9 +45,8 @@ __all__ = ["GridOperator", "discretize", "weighted_shift_grid",
            "EvidenceRecord", "invertibility_evidence",
            "NeumannResult", "neumann_apply"]
 
-# the defaults of every oracle entry point and of the CLI's oracle block
+# the defaults of the invertibility ladder and of the CLI's oracle block
 DEFAULT_LADDER = (256, 512, 1024)
-DEFAULT_P = 2.0
 DEFAULT_SEED = 0x5EED
 SMIN_FLOOR = 1e-10
 RADIUS_RTOL = 1e-13  # two successive radius ratios this close end the orbit sweep
@@ -80,10 +82,13 @@ class GridOperator:
     weights wts[:, i] in the columns idx[:, i].  Every product is one
     gather v[idx] and one contraction over the 4 slots, and goes through
     exactly one of apply, apply_P and apply_P_transpose.  The only
-    transpose is apply_P_transpose, P^T v as one bincount; ``gram``
-    scatters A_N^T A_N from the same stencil.  Norms are the
-    weighted discrete p-norm with weights 1/N.  ``shift`` and ``b`` are the
-    shift and the coefficient (an ``Fn``) the grid sampled; for g*W, b is the
+    transpose is apply_P_transpose, P^T v as one bincount.  ``matrix``
+    (A_N) and ``gram`` (A_N^T A_N) are each one bincount of the same
+    entry list: row i of A_N holds a_i in column i and -b_i wts[:, i] in
+    the columns idx[:, i].  Norms are the weighted discrete p-norm with
+    weights 1/N; ``discretize`` builds p = 2, and only a weighted shift's
+    radius estimate reads another p.  ``shift`` and ``b`` are the shift
+    and the coefficient (an ``Fn``) the grid sampled; for g*W, b is the
     weight g and b_vals = -g(nodes).
     """
 
@@ -116,47 +121,38 @@ class GridOperator:
             out += self.a_vals * v
         return out
 
-    def dense_P(self) -> np.ndarray:
-        P = np.zeros((self.N, self.N))
-        np.add.at(P, (np.arange(self.N), self.idx), self.wts)
-        return P
+    def _entries(self):
+        """Row i's 5 entries, slot-major: (columns, values), each (5, N)."""
+        return np.vstack([np.arange(self.N), self.idx]), np.vstack([self.a_vals, self._neg_bw])
+
+    def _scatter(self, flat: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        N = self.N
+        return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=N * N).reshape(N, N)
 
     def matrix(self) -> np.ndarray:
+        # each entry is added onto +0.0: the bits of diag(a) - b*P, an empty entry +0
         if self._dense is None:
-            # A_N in the one buffer of dense_P(); 0 - b*P, not (-b)*P, keeps zeros +0
-            A = self.dense_P()
-            diag = self.a_vals - self.b_vals * A.diagonal()
-            np.subtract(0.0, np.multiply(A, self.b_vals[:, None], out=A), out=A)
-            np.fill_diagonal(A, diag)
-            self._dense = A
+            cols, vals = self._entries()
+            self._dense = self._scatter(np.arange(self.N) * self.N + cols, vals)
         return self._dense
 
     def gram(self) -> np.ndarray:
-        """A_N^T A_N, by one bincount of each row's 5 x 5 entry products:
-        row i holds a_i in column i and -b_i wts[:, i] in columns idx[:, i]."""
-        N = self.N
-        cols = np.vstack([np.arange(N), self.idx])
-        vals = np.vstack([self.a_vals, self._neg_bw])
-        return np.bincount((cols[:, None] * N + cols[None]).ravel(),
-                           weights=(vals[:, None] * vals[None]).ravel(),
-                           minlength=N * N).reshape(N, N)
+        """A_N^T A_N, from each row's 5 x 5 entry products."""
+        cols, vals = self._entries()
+        return self._scatter(cols[:, None] * self.N + cols[None], vals[:, None] * vals[None])
 
     def norm(self, v: np.ndarray) -> float:
         return float((np.sum(np.abs(v) ** self.p) / self.N) ** (1.0 / self.p))
-
-
-def _validate_grid(N: int, p: float):
-    if N < 64 or (N & (N - 1)) != 0:
-        raise ValueError("N must be a power of two >= 64")
-    if not 1.0 < p < float("inf"):
-        raise ValueError("p must satisfy 1 < p < inf")
 
 
 def _grid(shift: Shift, a, b, N: int, p: float) -> GridOperator:
     """Grid operator of a*I - b*W for the shift; a and b are Exprs,
     callables or Fns, checked finite at the nodes.  With a None, b is the
     weight g of g*W, i.e. a = 0 and b = -g."""
-    _validate_grid(N, p)
+    if N < 64 or (N & (N - 1)) != 0:
+        raise ValueError("N must be a power of two >= 64")
+    if not 1.0 < p < float("inf"):
+        raise ValueError("p must satisfy 1 < p < inf")
     nodes = np.arange(N) / N
     b_fn = Fn.of(b, "b")
     if a is None:
@@ -167,13 +163,13 @@ def _grid(shift: Shift, a, b, N: int, p: float) -> GridOperator:
     return GridOperator(N, p, nodes, a_vals, b_vals, idx, wts, shift, b_fn)
 
 
-def discretize(op: OperatorSpec, N: int, p: float) -> GridOperator:
-    """Collocation of A = a*I - b*W on the N-point grid."""
-    return _grid(op.shift, op.a, op.b, N, p)
+def discretize(op: OperatorSpec, N: int) -> GridOperator:
+    """Collocation of A = a*I - b*W on the N-point grid, with l^2 norms."""
+    return _grid(op.shift, op.a, op.b, N, 2.0)
 
 
 def weighted_shift_grid(g, shift: Shift, N: int, p: float) -> GridOperator:
-    """Grid operator for g*W (the a = 0, b = -g variant of A)."""
+    """Grid operator for g*W (the a = 0, b = -g variant of A) on L^p."""
     return _grid(shift, None, Fn.of(g, "weight"), N, p)
 
 
@@ -287,45 +283,39 @@ def _cgls(grid: GridOperator, f: np.ndarray, maxiter: int) -> np.ndarray | None:
     return None
 
 
-def _section(spec: OperatorSpec, N: int, p: float, seed: int,
-             tag: str, try_gram: bool) -> tuple[dict, bool]:
-    """One finite section, and whether the next rung may try the Gram.
+def _ladder(spec: OperatorSpec, ladder, seed: int, tag: str = "") -> list[dict]:
+    """The finite sections of one operator up the ladder.
 
-    With `try_gram`, s_min is the square root of the smallest eigenvalue of
-    A^T A, built from the stencil (``GridOperator.gram``), and x comes from
-    CGLS.  An ill-conditioned Gram (lambda_min <= GRAM_RCOND lambda_max,
-    where its eigenvalues lose the digits s_min needs) or a CGLS that
-    misses its stop within CGLS_ITERS_PER_N * N steps falls back to one
-    lstsq (gelsd) of the dense A_N, which gives x and the singular values."""
-    grid = discretize(spec, N, p)
-    f = _smooth_rhs(N, np.random.default_rng(seed + N))
-    x = None
-    if try_gram:
-        lam = np.linalg.eigvalsh(grid.gram())
-        try_gram = lam[0] > GRAM_RCOND * lam[-1]
-        if try_gram:
-            s_min = math.sqrt(lam[0])
-            x = _cgls(grid, f, CGLS_ITERS_PER_N * N)
-    if x is None:
-        x, _, _, sv = np.linalg.lstsq(grid.matrix(), f, rcond=1e-10)
-        s_min = float(sv[-1])
-    nf = np.linalg.norm(f)
-    return ({f"s_min{tag}": s_min, f"resid{tag}": float(np.linalg.norm(grid.apply(x) - f) / nf),
-             f"x_norm{tag}": float(np.linalg.norm(x) / nf)}, try_gram)
-
-
-def _ladder(spec: OperatorSpec, ladder, p: float, seed: int, tag: str = "") -> list[dict]:
-    """The sections of one operator up the ladder; once a rung's Gram is
-    ill-conditioned, the larger rungs go straight to lstsq."""
+    While the Gram stays well-conditioned, s_min is the square root of the
+    smallest eigenvalue of A^T A (``GridOperator.gram``) and x comes from
+    CGLS.  The first rung whose Gram is ill-conditioned (lambda_min <=
+    GRAM_RCOND lambda_max, where its eigenvalues lose the digits s_min
+    needs) and every larger rung, and a rung where CGLS misses its stop
+    within CGLS_ITERS_PER_N * N steps, take x and the singular values from
+    one lstsq (gelsd) of the dense A_N."""
     rows, try_gram = [], True
     for N in ladder:
-        row, try_gram = _section(spec, N, p, seed, tag, try_gram)
-        rows.append(row)
+        grid = discretize(spec, N)
+        f = _smooth_rhs(N, np.random.default_rng(seed + N))
+        x = None
+        if try_gram:
+            lam = np.linalg.eigvalsh(grid.gram())
+            try_gram = lam[0] > GRAM_RCOND * lam[-1]
+            if try_gram:
+                s_min = math.sqrt(lam[0])
+                x = _cgls(grid, f, CGLS_ITERS_PER_N * N)
+        if x is None:
+            x, _, _, sv = np.linalg.lstsq(grid.matrix(), f, rcond=1e-10)
+            s_min = float(sv[-1])
+        nf = np.linalg.norm(f)
+        rows.append({f"s_min{tag}": s_min,
+                     f"resid{tag}": float(np.linalg.norm(grid.apply(x) - f) / nf),
+                     f"x_norm{tag}": float(np.linalg.norm(x) / nf)})
     return rows
 
 
 def invertibility_evidence(op: OperatorSpec, N_ladder=DEFAULT_LADDER,
-                           p: float = DEFAULT_P, seed: int = DEFAULT_SEED,
+                           seed: int = DEFAULT_SEED,
                            verdict: str | None = None) -> EvidenceRecord:
     """Singular-value and least-squares-residual ladder for A and its adjoint.
 
@@ -335,18 +325,26 @@ def invertibility_evidence(op: OperatorSpec, N_ladder=DEFAULT_LADDER,
     vanishing smooth-data residual; a nowhere-invertible operator shows
     s_min at the floor or decaying at least twofold across the ladder.
     One-sided operators are reported through the asymmetry of the residuals
-    of A and its adjoint.  s_min is always the 2-norm proxy.  Each operator
-    climbs the ladder on the Gram path of ``_section`` (s_min from the
-    eigenvalues of A_N^T A_N, x by CGLS, no dense A_N) until a rung is
-    ill-conditioned; that rung and every larger one take s_min and x from
-    one lstsq (gelsd) of A_N, as does a rung where CGLS misses its stop.
+    of A and its adjoint.  s_min, resid and x_norm are l^2 numbers on the
+    uniform grid (the 2-norm proxy), whatever the Boyd indices of
+    ``op.space``.  Each operator climbs the ladder on the Gram path of
+    ``_ladder`` (s_min from the eigenvalues of A_N^T A_N, x by CGLS, no
+    dense A_N) until a rung is ill-conditioned; that rung and every larger
+    one take s_min and x from one lstsq (gelsd) of A_N, as does a rung
+    where CGLS misses its stop.  The rungs must be integers (numpy
+    integers too, bools not), ascending, at least 3 of them, and each a
+    power of two >= 64.
     """
     ladder = tuple(N_ladder)
+    for N in ladder:
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+            raise ValueError(f"N_ladder rungs must be integers, got {N!r}")
+    ladder = tuple(map(int, ladder))
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("N_ladder must be ascending with at least 3 rungs")
     rungs = [{"N": N, **row, **row_adj} for N, row, row_adj in
-             zip(ladder, _ladder(op, ladder, p, seed),
-                 _ladder(adjoint_spec(op), ladder, p, seed, "_adjoint"))]
+             zip(ladder, _ladder(op, ladder, seed),
+                 _ladder(adjoint_spec(op), ladder, seed, "_adjoint"))]
 
     smins = [r["s_min"] for r in rungs]
     resids = [r["resid"] for r in rungs]
@@ -382,8 +380,7 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
     dominant-b branch (eta0 < 0 everywhere):
         A^{-1} = -W^{-1} sum_n (b^{-1} a W^{-1})^n b^{-1}.
 
-    Returns the relative residual ||A S_K f - f||_p / ||f||_p (p = DEFAULT_P;
-    f must be finite at the grid nodes) together with the measured
+    Returns the relative residual ||A S_K f - f||_2 / ||f||_2 (f must be finite at the grid nodes) together with the measured
     geometric decay ratio of the truncation error and the closed-form
     spectral-radius bound of the iterated operator it should track.  The
     iterate's shift, or its inverse, has the operator's periodic points
@@ -403,13 +400,13 @@ def neumann_apply(op: OperatorSpec, f, N: int, terms: int) -> NeumannResult:
         raise ValueError("Neumann form not available: neither eta1 > 0 nor "
                          "eta0 < 0 holds on the whole curve")
 
-    grid = discretize(op, N, DEFAULT_P)
+    grid = discretize(op, N)
     f_vals = Fn.of(f, "f")(grid.nodes)
     if branch == "dominant-a":
         iter_shift, iter_weight, den = op.shift, op.b / op.a, op.a
     else:
         iter_shift, iter_weight, den = op.shift.inverse(), op.a / op.b, op.b
-    C = weighted_shift_grid(iter_weight, iter_shift, N, DEFAULT_P)
+    C = weighted_shift_grid(iter_weight, iter_shift, N, grid.p)
 
     acc = np.zeros(N)
     term = f_vals / den(grid.nodes)

@@ -326,6 +326,34 @@ class TestRefusals:
         assert json.loads(out.read_text(encoding="utf-8"))["witness"]["type"] == kind
 
 
+# case -> (lift, a, b): a feature narrower than one scan cell that decide
+# misses, answering two_sided with a None witness
+SAMPLING_LIMIT = {
+    # a dips to -1 inside one cell of the Gamma2 arc, so sigma_A vanishes there
+    "narrow_dip": (S1_LIFT, "3-4*exp(-((t-0.30007)/0.00003)^2)", "1"),
+    # a is NaN on an interval of width 6.4e-6 between two scan nodes
+    "nan_between_nodes": (S1_LIFT, "sqrt((sin(pi*(t-0.2501220703125)))^2-1e-10)", "1"),
+    # alpha' jumps from 0.7996 to 0.8121 at 0.3000001, between two scan nodes
+    "kink_between_nodes": ("t+0.03+0.1*sin(2*pi*t)+0.001*abs(sin(2*pi*(t-0.3000001)))",
+                           "2", "1"),
+}
+
+
+class TestSamplingLimit:
+    """Inputs that must get no definite verdict: they raise (a config
+    error, exit 2) or are undecidable.  Today each gets two_sided."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    @pytest.mark.parametrize("case", sorted(SAMPLING_LIMIT))
+    def test_no_definite_verdict(self, case, idx):
+        lift, a, b = SAMPLING_LIMIT[case]
+        try:
+            verdict = so.decide(so.operator_spec(a, b, so.Shift.from_lift(lift), idx)).verdict
+        except ValueError:   # EvalDomainError, StructureError
+            return
+        assert verdict == "undecidable"
+
+
 class TestOperatorSpec:
     @pytest.mark.parametrize("which, text", [("a", "1/sin(2*pi*t)"), ("b", "log(t)")])
     def test_infinite_at_zero_named(self, s1, s1_structure, idx, which, text):

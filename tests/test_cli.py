@@ -64,10 +64,11 @@ class TestAnalyze:
         assert "shift.lift" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, field", [
-        # the tolerances block is retired, flatt and orcale are misspelt
+        # the tolerances block and oracle.p are retired, flatt and orcale are misspelt
         ({"tolerances": {"zero": 1e-12, "flat": 1e-11}}, "tolerances"),
         ({"space": {"flatt": 1e-11}}, "space.flatt"),
         ({"orcale": {"seed": 1}}, "orcale"),
+        ({"oracle": {"p": 2.0}}, "oracle.p"),
     ])
     def test_unknown_field_exit_2(self, tmp_path, capsys, overrides, field):
         code = cli.run(["analyze", "-c", write_config(tmp_path, **overrides)])
@@ -286,8 +287,7 @@ class TestSpectrumArgs:
 
 class TestVerify:
     def test_agreement_two_sided(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, oracle={"grids": [64, 128, 256], "p": 2.0,
-                                             "seed": 24301})
+        cfg = write_config(tmp_path, oracle={"grids": [64, 128, 256], "seed": 24301})
         code = cli.run(["verify", "-c", cfg])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -328,7 +328,6 @@ class TestVerify:
         {"grids": [100, 200, 400]},
         {"grids": [256, 128, 64]},
         {"grids": ["a", 128, 256]},
-        {"p": 1.0},
     ])
     def test_bad_oracle_config_exit_2(self, tmp_path, capsys, oracle):
         code = cli.run(["verify", "-c", write_config(tmp_path, oracle=oracle)])
@@ -339,7 +338,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("oracle, message", [
         ({"seed": True}, "oracle.seed must be int, got bool"),
-        ({"p": True}, "oracle.p must be float, got bool"),
     ])
     def test_bool_in_oracle_field_exit_2(self, tmp_path, capsys, oracle, message):
         code = cli.run(["verify", "-c", write_config(tmp_path, oracle=oracle)])

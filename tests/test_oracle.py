@@ -7,32 +7,40 @@ import shiftop as so
 from conftest import RADIUS_S1_P2
 
 
+def _dense_P(grid):
+    """The dense P of a grid, scattered by np.add.at: a construction
+    independent of GridOperator.matrix()'s bincount."""
+    P = np.zeros((grid.N, grid.N))
+    np.add.at(P, (np.arange(grid.N), grid.idx), grid.wts)
+    return P
+
+
 class TestDiscretize:
     def test_identity_shift_p_is_identity(self, idx):
         ident = so.Shift.from_lift("t")
         op = so.operator_spec("2", "1", ident, idx)
-        grid = so.discretize(op, 128, 2.0)
-        P = grid.dense_P()
+        grid = so.discretize(op, 128)
+        P = _dense_P(grid)
         assert np.allclose(P, np.eye(128), atol=1e-14)
 
     def test_half_rotation_is_permutation(self, idx):
         rot = so.Shift.from_lift("t+0.5")
         op = so.operator_spec("2", "1", rot, idx)
-        grid = so.discretize(op, 128, 2.0)
-        P = grid.dense_P()
+        grid = so.discretize(op, 128)
+        P = _dense_P(grid)
         expected = np.roll(np.eye(128), -64, axis=1)
         assert np.allclose(P, expected, atol=1e-14)
 
     def test_composition_accuracy(self, s1, s1_structure, idx):
         op = so.operator_spec("2", "1", s1, idx, structure=s1_structure)
-        grid = so.discretize(op, 512, 2.0)
+        grid = so.discretize(op, 512)
         f = np.sin(2 * np.pi * grid.nodes)
         target = np.sin(2 * np.pi * so.wrap(s1.lift_ext(grid.nodes)))
         assert np.abs(grid.apply_P(f) - target).max() < 1e-8
 
     def test_rows_sum_to_one(self, s1, s1_structure, idx):
         op = so.operator_spec("2", "1", s1, idx, structure=s1_structure)
-        grid = so.discretize(op, 256, 2.0)
+        grid = so.discretize(op, 256)
         assert np.abs(grid.wts.sum(axis=0) - 1.0).max() < 1e-10
 
     def test_interpolation_order(self, s1, s1_structure, idx):
@@ -40,7 +48,7 @@ class TestDiscretize:
         errs = []
         ladder = (64, 128, 256, 512, 1024)
         for N in ladder:
-            grid = so.discretize(op, N, 2.0)
+            grid = so.discretize(op, N)
             f = np.sin(2 * np.pi * grid.nodes)
             target = np.sin(2 * np.pi * so.wrap(s1.lift_ext(grid.nodes)))
             errs.append(np.abs(grid.apply_P(f) - target).max())
@@ -51,9 +59,9 @@ class TestDiscretize:
     def test_invalid_grid(self, s1, s1_structure, idx):
         op = so.operator_spec("2", "1", s1, idx, structure=s1_structure)
         with pytest.raises(ValueError):
-            so.discretize(op, 100, 2.0)
-        with pytest.raises(ValueError):
-            so.discretize(op, 256, 1.0)
+            so.discretize(op, 100)
+        with pytest.raises(ValueError, match="1 < p < inf"):
+            so.weighted_shift_grid(so.parse("1"), s1, 256, 1.0)
 
 
 # perfbench's six lifts: three with fixed points (S1 first), the half
@@ -66,7 +74,7 @@ def _grids(lift, N):
     """The two stencil paths: discretize (a != 0) and weighted_shift_grid (a = 0)."""
     shift = so.Shift.from_lift(lift)
     op = so.operator_spec("2+cos(2*pi*t)", "1+0.5*sin(2*pi*t)", shift, so.lebesgue(2.0))
-    return (so.discretize(op, N, 2.0),
+    return (so.discretize(op, N),
             so.weighted_shift_grid(so.parse("1+0.5*cos(2*pi*t)"), shift, N, 2.0))
 
 
@@ -97,7 +105,7 @@ class TestTranspose:
     def test_matches_dense(self, N, lift):
         v = np.random.default_rng(N).standard_normal(N)
         for grid in _grids(lift, N):
-            P, A = grid.dense_P(), grid.matrix()
+            P, A = _dense_P(grid), grid.matrix()
             for got, want in ((grid.apply_P(v), P @ v), (grid.apply_P_transpose(v), P.T @ v),
                               (grid.apply(v), A @ v)):
                 assert np.allclose(got, want, rtol=0, atol=1e-12), lift
@@ -144,7 +152,7 @@ class TestNonFinite:
         # the compiled coefficient keeps its Expr, so the error names the subexpression
         with pytest.raises(so.EvalDomainError,
                            match=r"division by zero in \(1\.0 / sin\(.*\)\) at t=0\.0"):
-            so.discretize(op, 256, 2.0)
+            so.discretize(op, 256)
 
 
 class TestRadiusEstimate:
@@ -270,7 +278,7 @@ class TestEvidence:
         for tag, spec in (("", op), ("_adjoint", so.adjoint_spec(op))):
             for N in ladder:
                 f = so.oracle._smooth_rhs(N, np.random.default_rng(so.oracle.DEFAULT_SEED + N))
-                x = np.linalg.lstsq(so.discretize(spec, N, 2.0).matrix(), f, rcond=1e-10)[0]
+                x = np.linalg.lstsq(so.discretize(spec, N).matrix(), f, rcond=1e-10)[0]
                 want[tag, N] = np.linalg.norm(x) / np.linalg.norm(f)
 
         def refuse(self):
@@ -308,24 +316,32 @@ class TestEvidence:
             ev = so.invertibility_evidence(op, N_ladder=ladder)
             for tag, spec in (("", op), ("_adjoint", so.adjoint_spec(op))):
                 for N, row in zip(ladder, ev.rungs):
-                    A = so.discretize(spec, N, 2.0).matrix()
+                    A = so.discretize(spec, N).matrix()
                     want = np.linalg.svd(A, compute_uv=False)[-1]
                     if want > 1e-8:
                         assert row[f"s_min{tag}"] == pytest.approx(want, rel=1e-6), (name, tag, N)
 
-    def test_matrix_bits_match_diag_minus_bP(self, fixture_suite):
-        # built in place, A_N keeps every bit of diag(a) - b*P, signed zeros included
-        for name, (op, _) in fixture_suite.items():
-            grid = so.discretize(op, 128, 2.0)
-            want = np.diag(grid.a_vals) - grid.b_vals[:, None] * grid.dense_P()
-            assert grid.matrix().tobytes() == want.tobytes(), name
+    def test_matrix_bits_match_diag_minus_bP(self, fixture_suite, s1):
+        # scattered from the stencil entries, A_N keeps every bit of
+        # diag(a) - b*P, signed zeros included: A and its adjoint, and g*W
+        grids = [so.discretize(spec, 128) for op, _ in fixture_suite.values()
+                 for spec in (op, so.adjoint_spec(op))]
+        grids.append(so.weighted_shift_grid(so.parse("1+0.5*cos(2*pi*t)"), s1, 128, 2.0))
+        for grid in grids:
+            want = np.diag(grid.a_vals) - grid.b_vals[:, None] * _dense_P(grid)
+            assert grid.matrix().tobytes() == want.tobytes(), grid.b
 
     def test_ladder_validation(self, fixture_suite):
         op, _ = fixture_suite["F1"]
-        with pytest.raises(ValueError):
-            so.invertibility_evidence(op, N_ladder=(256, 128, 512))
-        with pytest.raises(ValueError):
-            so.invertibility_evidence(op, N_ladder=(256, 512))
+        for ladder, message in (((256, 128, 512), "ascending"), ((256, 512), "ascending"),
+                                ((64.0, 128.0, 256.0), "got 64.0"), (("a", 128, 256), "got 'a'"),
+                                ((True, 128, 256), "got True")):
+            with pytest.raises(ValueError, match=message):
+                so.invertibility_evidence(op, N_ladder=ladder)
+        # numpy integers are integers: the rungs come back as ints
+        ev = so.invertibility_evidence(op, N_ladder=np.array([64, 128, 256]))
+        assert ev == so.invertibility_evidence(op, N_ladder=(64, 128, 256))
+        assert [type(r["N"]) for r in ev.rungs] == [int] * 3
 
 
 class TestNeumann:
