@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprlang import ZERO_TOL, Fn, find_zeros, is_periodic, parse
+from .exprlang import ZERO_TOL, Fn, Scan, find_zeros, is_periodic, parse
 from .circle import (POINT_TOL, Arc, GammaArc, PeriodicStructure, Shift, StructureError,
                      circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
@@ -324,9 +324,9 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition,
         ext["min_abs"] = min(ext["min_abs"], float(np.min(np.abs(vals))))
 
     for region, arc in regions:
-        fn = _region_sigma_fn(op, region)
-        record(region, fn(wrap(np.linspace(arc.start, arc.end, 257))))
-        hits = find_zeros(fn.wrap(), arc.start, arc.end)
+        fn = _region_sigma_fn(op, region).wrap()
+        record(region, Scan(fn, arc.start, arc.end, 256).fx)
+        hits = find_zeros(fn, arc.start, arc.end)
         if arc.length != 1.0:   # not the full circle
             hits = _filter_near_y(hits, ps)
         for h in hits:
@@ -407,11 +407,15 @@ def decide(op: OperatorSpec) -> InvertibilityReport:
     list, shared ones first; the witness is the first located failure (a
     point or an orbit pair), else the first failure.  A stage that refuses
     raises UndecidableError, which becomes the one "undecidable" report,
-    with the partition summary and sigma extrema computed so far.
+    with the partition summary and sigma extrema computed so far.  A space
+    not of fundamental type, outside the paper's hypotheses, is refused first.
     """
     summary: dict = {}
     extrema: dict = {}
     try:
+        if not op.space.fundamental_type:
+            raise UndecidableError("the one-sided criteria are proven only for spaces "
+                                   "of fundamental type", {"type": "space_not_fundamental_type"})
         if op.structure.uncertain:
             detail = "tangential fixed-point zeros in the periodic structure"
             raise UndecidableError(detail, {"type": "uncertain_structure", "detail": detail})

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprlang import SCAN_CELLS, ZERO_TOL, Fn, ZeroHit, differentiate, find_zeros, parse
+from .exprlang import SCAN_CELLS, ZERO_TOL, Fn, Scan, ZeroHit, differentiate, find_zeros, parse
 
 __all__ = [
     "wrap", "circle_dist", "Arc", "GammaArc", "Shift", "PeriodicStructure",
@@ -33,8 +33,6 @@ __all__ = [
 
 ORBIT_GUARD = 10 ** 6
 POINT_TOL = 1e-9
-# the grid of the lift and coefficient checks and of the periodic-structure scan
-SCAN_GRID = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
 _M_MAX = 16   # highest multiplicity the structure scan tries
 # table nodes for inverse solves, and a step cap above the 45 halvings
 # that bisection alone needs to narrow a 1/256 cell to one ulp
@@ -133,8 +131,8 @@ class Shift:
         lf = Fn.of(lift_expr, "shift.lift")
         df = Fn.of(differentiate(lift_expr), "shift.lift'")
 
-        ls = lf(SCAN_GRID)
-        jump = ls[-1] - ls[0]
+        lifted = Scan(lf, 0.0, 1.0, SCAN_CELLS)
+        jump = lifted.fx[-1] - lifted.fx[0]
         if abs(abs(jump) - 1.0) > 1e-9:
             raise StructureError(f"|L(1)-L(0)| = {abs(jump)!r}, expected 1 within 1e-9")
         sigma = 1 if jump > 0 else -1
@@ -142,11 +140,11 @@ class Shift:
             raise StructureError("lift is decreasing but orientation 'preserve' was requested")
         if orientation == "reverse" and sigma != -1:
             raise StructureError("lift is increasing but orientation 'reverse' was requested")
-        diffs = np.diff(ls) * sigma
+        diffs = np.diff(lifted.fx) * sigma
         if np.min(diffs) <= 0.0:
             k = int(np.argmin(diffs))
-            raise StructureError(f"lift is not strictly monotone near t={SCAN_GRID[k]:.6f}")
-        if np.min(np.abs(df(SCAN_GRID))) <= 0.0:
+            raise StructureError(f"lift is not strictly monotone near t={lifted.xs[k]:.6f}")
+        if Scan(df, 0.0, 1.0, SCAN_CELLS).min_abs() <= 0.0:
             raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
 
         def lift_ext(x):
@@ -327,26 +325,27 @@ def _periodic_branches(shift: Shift) -> tuple[int, list[int]]:
     """The multiplicity m and the lift branches n on which L^m(x) - x - n
     may vanish.
 
-    Carries y = L^j(x) forward on the grid one iterate at a time, and stops
-    at the first j whose u = L^j(x) - x comes within 1e-7 of an integer,
-    after refining u's extreme cells on 65 points each.  The integers it
-    comes within 1e-7 of are the branches.  Orientation-reversing shifts
-    always get m = 2 (they have two fixed points and all other periodic
-    points have multiplicity two).  Others are tried up to m = _M_MAX.
+    Carries y = L^j(x) forward on the grid of a Scan of L one iterate at a
+    time, and stops at the first j whose u = L^j(x) - x comes within 1e-7
+    of an integer, after a 64-cell Scan of u over the two cells around each
+    extreme sample.  The integers it comes within 1e-7 of are the branches.
+    Orientation-reversing shifts always get m = 2 (they have two fixed
+    points and all other periodic points have multiplicity two).  Others
+    are tried up to m = _M_MAX.
     """
     reversing = shift.orientation == -1
-    y = SCAN_GRID
-    for j in range(1, 3 if reversing else _M_MAX + 1):
-        y = shift.lift_ext(y)
-        if reversing and j == 1:
-            continue
-        u = y - SCAN_GRID
+    grid = Scan(shift.lift_ext, 0.0, 1.0, SCAN_CELLS)
+    xs, y = grid.xs, grid.fx
+    for j in (2,) if reversing else range(1, _M_MAX + 1):
+        if j > 1:
+            y = shift.lift_ext(y)
+        u = y - xs
+        u_j = Fn(lambda x: _lift_power(shift, j, x) - x, "u")
         umin, umax = float(np.min(u)), float(np.max(u))
         for i in (int(np.argmin(u)), int(np.argmax(u))):
-            fine = np.linspace(SCAN_GRID[max(i - 1, 0)], SCAN_GRID[min(i + 1, SCAN_CELLS)], 65)
-            yf = _lift_power(shift, j, fine)
-            umin = min(umin, float(np.min(yf - fine)))
-            umax = max(umax, float(np.max(yf - fine)))
+            fine = Scan(u_j, xs[max(i - 1, 0)], xs[min(i + 1, SCAN_CELLS)], 64).fx
+            umin = min(umin, float(np.min(fine)))
+            umax = max(umax, float(np.max(fine)))
         branches = list(range(math.ceil(umin - 1e-7), math.floor(umax + 1e-7) + 1))
         if branches or reversing:
             return j, branches

@@ -13,7 +13,9 @@ function of t in the package follows its convention: a float in gives a
 float out, and an ndarray in gives an ndarray of the same shape out.
 ``evaluate`` is the exact scalar reference that names the node and the t
 of a domain error.  ``Fn`` is the checked function type of everything a
-verdict, a spectrum or the oracle evaluates.
+verdict, a spectrum or the oracle evaluates.  ``Scan`` samples an ``Fn``
+once on a grid and reads its zeros, extremes and least modulus from those
+samples: every sampled decision of the package goes through it.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ __all__ = [
     "ExprError", "ParseError", "EvalDomainError",
     "parse", "serialize", "evaluate", "as_function", "Fn",
     "differentiate", "is_periodic",
-    "ZeroHit", "find_zeros",
+    "ZeroHit", "Scan", "find_zeros",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
 
-# the tolerances of every zero and periodic-structure scan (find_zeros):
-# bisection width, flat band, and the default number of grid cells
+# the tolerances of every Scan: bisection and golden-section width, flat
+# band, and the default number of grid cells
 ZERO_TOL = 1e-12
 FLAT_TOL = 1e-11
 SCAN_CELLS = 4096
@@ -577,89 +579,112 @@ def _refine_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, fn(x)
 
 
+class Scan:
+    """fn (``Fn.of``) sampled once, values ``fx`` on the nodes
+    ``xs = np.linspace(lo, hi, cells + 1)``, read by ``zeros``, ``extreme``
+    and ``min_abs``."""
+
+    __slots__ = ("fn", "lo", "hi", "cells", "xs", "fx")
+
+    def __init__(self, fn, lo: float, hi: float, cells: int = SCAN_CELLS):
+        if not lo < hi:
+            raise ValueError("Scan requires lo < hi")
+        self.fn, self.lo, self.hi, self.cells = Fn.of(fn), lo, hi, cells
+        self.xs = np.linspace(lo, hi, cells + 1)
+        self.fx = self.fn(self.xs)
+
+    def min_abs(self) -> float:
+        return float(np.min(np.abs(self.fx)))
+
+    def extreme(self, sign: float) -> float:
+        """Sup (sign = 1) or inf (sign = -1) of the continuous real fn: the
+        most extreme sample, or its golden-section refinement on the sample's
+        two neighbouring cells if that is more extreme."""
+        fn, xs, i = self.fn, self.xs, int(np.argmax(sign * self.fx))
+        _, v = _refine_min(lambda t: -sign * fn(t), xs[max(i - 1, 0)],
+                           xs[min(i + 1, self.cells)], ZERO_TOL)
+        return sign * max(sign * float(self.fx[i]), -float(v))
+
+    def zeros(self) -> list[ZeroHit]:
+        """Zeros on the half-open [lo, hi): sign changes bisected to ZERO_TOL;
+        grid-local minima of |fn| small enough to be candidate tangencies
+        refined into "tangential" hits; runs of samples inside FLAT_TOL as
+        interval records.  A zero at ``hi`` is excluded (on periodic inputs
+        it coincides with ``lo``)."""
+        fn, lo, hi, cells, xs, fx = self.fn, self.lo, self.hi, self.cells, self.xs, self.fx
+        scale = max(1.0, float(np.max(np.abs(fx))))
+        node_atol = 1e-13 * scale
+        screen = scale * (10.0 / cells) ** 2
+
+        flat = np.abs(fx) <= FLAT_TOL
+        hits: list[ZeroHit] = []
+        in_flat = np.zeros(cells + 1, dtype=bool)
+        g = lambda x: abs(fn(x)) - FLAT_TOL   # zero at the ends of a flat run
+
+        # flat runs spanning at least two cells
+        i = 0
+        while i <= cells:
+            if flat[i]:
+                j = i
+                while j + 1 <= cells and flat[j + 1]:
+                    j += 1
+                if j - i >= 2:
+                    a = xs[i]
+                    if i > 0:
+                        a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), ZERO_TOL)
+                    b = xs[j]
+                    if j < cells:
+                        b = _bisect(g, xs[j], xs[j + 1], -FLAT_TOL, g(xs[j + 1]), ZERO_TOL)
+                    hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
+                    in_flat[i:j + 1] = True
+                i = j + 1
+            else:
+                i += 1
+
+        sgn = np.where(np.abs(fx) <= node_atol, 0, np.sign(fx))
+
+        # node zeros and sign-change crossings outside flat runs
+        for i in range(cells + 1):
+            if in_flat[i] or sgn[i] != 0:
+                continue
+            left = sgn[i - 1] if i > 0 else 0
+            right = sgn[i + 1] if i < cells else 0
+            kind = "tangential" if (left != 0 and left == right) else "crossing"
+            hits.append(ZeroHit(xs[i], kind, float(fx[i])))
+        for i in range(cells):
+            if in_flat[i] or in_flat[i + 1]:
+                continue
+            if sgn[i] != 0 and sgn[i + 1] != 0 and sgn[i] != sgn[i + 1]:
+                x = _bisect(fn, xs[i], xs[i + 1], fx[i], fx[i + 1], ZERO_TOL)
+                hits.append(ZeroHit(x, "crossing", fn(x)))
+
+        # tangential candidates: small interior local minima of |f| without sign change
+        absf = np.abs(fx)
+        for i in range(1, cells):
+            if in_flat[i] or sgn[i] == 0 or sgn[i - 1] != sgn[i] or sgn[i] != sgn[i + 1]:
+                continue
+            if absf[i] <= screen and absf[i] < absf[i - 1] and absf[i] <= absf[i + 1]:
+                x, v = _refine_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], ZERO_TOL)
+                if v <= screen:
+                    hits.append(ZeroHit(x, "tangential", v))
+
+        # dedup points, drop anything at hi, keep intervals as-is
+        points = sorted((h for h in hits if h.kind != "interval"), key=lambda h: h.location)
+        merged: list[ZeroHit] = []
+        span = hi - lo
+        dedup = max(10 * ZERO_TOL, 1e-12 * span)
+        for h in points:
+            if h.location >= hi - max(ZERO_TOL, 1e-12 * span):
+                continue
+            if merged and h.location - merged[-1].location <= dedup:
+                if merged[-1].kind == "tangential" and h.kind == "crossing":
+                    merged[-1] = h
+                continue
+            merged.append(h)
+        intervals = [h for h in hits if h.kind == "interval"]
+        return sorted(merged + intervals, key=lambda h: h.location)
+
+
 def find_zeros(e, lo: float, hi: float, cells: int = SCAN_CELLS) -> list[ZeroHit]:
-    """Locate zeros of e on the half-open interval [lo, hi).
-
-    Grid scan (``cells`` cells) plus bisection of sign changes to ZERO_TOL;
-    grid-local minima of |e| small enough to be candidate tangencies are
-    refined into "tangential" hits; runs of samples inside FLAT_TOL become
-    interval records.  A zero at ``hi`` is excluded (on periodic inputs it
-    coincides with ``lo``).
-    """
-    if not lo < hi:
-        raise ValueError("find_zeros requires lo < hi")
-    fn = Fn.of(e)
-    xs = np.linspace(lo, hi, cells + 1)
-    fx = fn(xs)
-
-    scale = max(1.0, float(np.max(np.abs(fx))))
-    node_atol = 1e-13 * scale
-    screen = scale * (10.0 / cells) ** 2
-
-    flat = np.abs(fx) <= FLAT_TOL
-    hits: list[ZeroHit] = []
-    in_flat = np.zeros(cells + 1, dtype=bool)
-    g = lambda x: abs(fn(x)) - FLAT_TOL   # zero at the ends of a flat run
-
-    # flat runs spanning at least two cells
-    i = 0
-    while i <= cells:
-        if flat[i]:
-            j = i
-            while j + 1 <= cells and flat[j + 1]:
-                j += 1
-            if j - i >= 2:
-                a = xs[i]
-                if i > 0:
-                    a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), ZERO_TOL)
-                b = xs[j]
-                if j < cells:
-                    b = _bisect(g, xs[j], xs[j + 1], -FLAT_TOL, g(xs[j + 1]), ZERO_TOL)
-                hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
-                in_flat[i:j + 1] = True
-            i = j + 1
-        else:
-            i += 1
-
-    sgn = np.where(np.abs(fx) <= node_atol, 0, np.sign(fx))
-
-    # node zeros and sign-change crossings outside flat runs
-    for i in range(cells + 1):
-        if in_flat[i] or sgn[i] != 0:
-            continue
-        left = sgn[i - 1] if i > 0 else 0
-        right = sgn[i + 1] if i < cells else 0
-        kind = "tangential" if (left != 0 and left == right) else "crossing"
-        hits.append(ZeroHit(xs[i], kind, float(fx[i])))
-    for i in range(cells):
-        if in_flat[i] or in_flat[i + 1]:
-            continue
-        if sgn[i] != 0 and sgn[i + 1] != 0 and sgn[i] != sgn[i + 1]:
-            x = _bisect(fn, xs[i], xs[i + 1], fx[i], fx[i + 1], ZERO_TOL)
-            hits.append(ZeroHit(x, "crossing", fn(x)))
-
-    # tangential candidates: small interior local minima of |f| without sign change
-    absf = np.abs(fx)
-    for i in range(1, cells):
-        if in_flat[i] or sgn[i] == 0 or sgn[i - 1] != sgn[i] or sgn[i] != sgn[i + 1]:
-            continue
-        if absf[i] <= screen and absf[i] < absf[i - 1] and absf[i] <= absf[i + 1]:
-            x, v = _refine_min(lambda x: abs(fn(x)), xs[i - 1], xs[i + 1], ZERO_TOL)
-            if v <= screen:
-                hits.append(ZeroHit(x, "tangential", v))
-
-    # dedup points, drop anything at hi, keep intervals as-is
-    points = sorted((h for h in hits if h.kind != "interval"), key=lambda h: h.location)
-    merged: list[ZeroHit] = []
-    span = hi - lo
-    dedup = max(10 * ZERO_TOL, 1e-12 * span)
-    for h in points:
-        if h.location >= hi - max(ZERO_TOL, 1e-12 * span):
-            continue
-        if merged and h.location - merged[-1].location <= dedup:
-            if merged[-1].kind == "tangential" and h.kind == "crossing":
-                merged[-1] = h
-            continue
-        merged.append(h)
-    intervals = [h for h in hits if h.kind == "interval"]
-    return sorted(merged + intervals, key=lambda h: h.location)
+    """Zeros of e on [lo, hi) from a ``cells``-cell grid: ``Scan.zeros``."""
+    return Scan(e, lo, hi, cells).zeros()

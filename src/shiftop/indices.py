@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,8 @@ class SpaceIndices:
     """Boyd indices (alpha, beta) of a rearrangement-invariant space.
 
     fundamental_type asserts the Zippin indices coincide with the Boyd
-    indices; the one-sided criteria are proven only under that assumption.
+    indices; the one-sided criteria are proven only under that assumption,
+    and ``decide`` refuses a space without it.
     """
 
     alpha: float
@@ -35,14 +35,7 @@ class SpaceIndices:
         return np.minimum(fa, fb), np.maximum(fa, fb)
 
 
-def space_indices(alpha: float, beta: float, fundamental_type: bool = True) -> SpaceIndices:
-    x = SpaceIndices(alpha, beta, fundamental_type)
-    if not fundamental_type:
-        warnings.warn(
-            "one-sided invertibility criteria are proven only for spaces of "
-            "fundamental type; verdicts for this space are formal",
-            stacklevel=2)
-    return x
+space_indices = SpaceIndices
 
 
 def lebesgue(p: float) -> SpaceIndices:

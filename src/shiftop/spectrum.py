@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import ZERO_TOL, Fn, _refine_min, find_zeros
+from .exprlang import Fn, Scan
 from .circle import (GammaArc, PeriodicStructure, Shift, detect_orientation_and_multiplicity,
-                     orbit_product, wrap)
+                     orbit_product)
 from .indices import SpaceIndices
 
 __all__ = ["Annulus", "SpectrumSet", "radius_bound",
@@ -55,34 +55,22 @@ class SpectrumSet:
     curve_ranges: tuple[tuple[float, float], ...]
 
 
-def _arc_extreme(fn, ts: np.ndarray, vals: np.ndarray, sign: float) -> float:
-    """Sup (sign = 1) or inf (sign = -1) of the continuous real fn over
-    [ts[0], ts[-1]], given its values vals on the grid ts: the most extreme
-    sample, refined by golden section on its two neighbouring cells, and
-    the more extreme of the two kept."""
-    i = int(np.argmax(sign * vals))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    _, v = _refine_min(lambda t: -sign * fn(t), lo, hi, ZERO_TOL)
-    return sign * max(sign * float(vals[i]), -float(v))
-
-
 def radius_bound(g, shift: Shift, structure: PeriodicStructure,
                  x: SpaceIndices) -> float:
     """Sharp upper bound for the spectral radius of g*W on X: the max over
     the periodic-point set Lambda of (|g_m| * h(alpha_m'))^{1/m}, where
     g_m is the orbit product of g, alpha_m the m-th iterate of the shift
     and h(s) = max{|s|^{-alpha_X}, |s|^{-beta_X}}; exact at the points of
-    Lambda, refined from SAMPLES + 1 samples on each arc (_arc_extreme).
+    Lambda, refined from a SAMPLES-cell Scan of each arc (Scan.extreme).
 
     On L^p (x = lebesgue(p)) this is the spectral radius itself.
     """
     m = structure.m
     g_m = Fn.of(g, "weight").orbit(shift, m).wrap()
-    Delta = lambda t: _delta_Delta(g_m, shift, m, x, t)[1]
+    Delta = Fn(lambda t: _delta_Delta(g_m, shift, m, x, t)[1], "Delta")
     sups = list(Delta(np.asarray(structure.lambda_points)))
-    for arc in structure.lambda_arcs:
-        ts = np.linspace(arc.start, arc.end, SAMPLES + 1)
-        sups.append(_arc_extreme(Delta, ts, Delta(ts), 1.0))
+    sups += [Scan(Delta, arc.start, arc.end, SAMPLES).extreme(1.0)
+             for arc in structure.lambda_arcs]
     if not sups:
         raise ValueError("structure has an empty periodic-point set")
     return float(np.max(sups) ** (1.0 / m))
@@ -120,11 +108,9 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     curve_samples: list[complex] = []
     curve_ranges: list[tuple[float, float]] = []
     for arc in structure.omega:
-        ts = np.linspace(arc.start, arc.end, samples + 1)
-        dm = d_m(wrap(ts))
-        curve_ranges.append((_arc_extreme(d_m, ts, dm, -1.0),
-                             _arc_extreme(d_m, ts, dm, 1.0)))
-        for v in (complex(v) for v in dm):
+        scan = Scan(d_m, arc.start, arc.end, samples)
+        curve_ranges.append((scan.extreme(-1.0), scan.extreme(1.0)))
+        for v in (complex(v) for v in scan.fx):
             r = abs(v) ** (1.0 / m)
             theta = cmath.phase(v)
             for k in range(m):
@@ -137,17 +123,9 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
         delta_min = min(v[0] for v in dd)
         Delta_max = max(v[1] for v in dd)
 
-        ts = wrap(np.linspace(g.start, g.end, samples + 1))
-        min_abs = float(np.min(np.abs(d_m(ts))))
-        invertible = min_abs > GC_THRESHOLD
-        if invertible:
-            hits = find_zeros(d_m, g.start, g.end, cells=samples)
-            if any(h.certain() for h in hits):
-                invertible = False
-        if invertible:
-            raw.append(Annulus(delta_min ** (1.0 / m), Delta_max ** (1.0 / m)))
-        else:
-            raw.append(Annulus(0.0, Delta_max ** (1.0 / m)))
+        scan = Scan(d_m, g.start, g.end, samples)
+        disk = scan.min_abs() <= GC_THRESHOLD or any(h.certain() for h in scan.zeros())
+        raw.append(Annulus(0.0 if disk else delta_min ** (1.0 / m), Delta_max ** (1.0 / m)))
 
     for tau in structure.yprime:
         delta, Delta = _delta_Delta(d_m, shift, m, x, tau)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import shiftop as so
-from shiftop import cli
+from shiftop import analysis, cli
 from conftest import ALPHA_PRIME_0, ALPHA_PRIME_HALF
 
 S1_LIFT = "t+0.1*sin(2*pi*t)"
@@ -146,6 +146,16 @@ class TestPartition:
         assert regions == {0.0: "gamma2", 0.5: "gamma3"}
         assert all(c.region == "gamma4" for _, c in part.arcs)
 
+    def test_classify_reads_each_arcs_own_region(self, idx):
+        # four arcs, gamma2 next to the attracting point 0.25 and gamma5 next
+        # to the repelling point 0.5: each arc's points get its own region
+        shift = so.Shift.from_lift("t+0.05*sin(4*pi*t)")
+        op = so.operator_spec("2+1.9*cos(2*pi*t)", "1", shift, idx)
+        part = so.build_partition(op)
+        assert [c.region for _, c in part.arcs] == ["gamma2", "gamma5", "gamma5", "gamma2"]
+        for arc, c in part.arcs:
+            assert part.classify(op.structure, arc.midpoint()) == c.region
+
     def test_f1_all_gamma2(self, s1, s1_structure, idx):
         op = so.operator_spec("2", "1", s1, idx, structure=s1_structure)
         part = so.build_partition(op)
@@ -210,6 +220,33 @@ class TestSigmaA:
         op = so.operator_spec("2", "1", refl, idx)
         part = so.build_partition(op)
         assert so.sigma_A(op, 0.3, part) == pytest.approx(3.0)
+
+
+    def test_partition_built_when_not_given(self, idx):
+        shift = so.Shift.from_lift("t+0.05*sin(4*pi*t)")
+        op = so.operator_spec("2+1.9*cos(2*pi*t)", "1", shift, idx)
+        part = so.build_partition(op)
+        for t in (0.1, 0.3, 0.6, 0.9):
+            assert so.sigma_A(op, t) == so.sigma_A(op, t, part)
+        assert so.sigma_A(op, 0.1) > 1.0
+
+    def test_filter_near_y_drops_points_keeps_intervals(self, s1_structure):
+        hits = [so.exprlang.ZeroHit(0.5 + 5e-11, "crossing"),
+                so.exprlang.ZeroHit(0.5, "interval", 0.0, 0.49, 0.51),
+                so.exprlang.ZeroHit(0.25, "crossing")]
+        assert analysis._filter_near_y(hits, s1_structure) == hits[1:]
+
+    def test_partial_arc_drops_zeros_at_its_ends(self):
+        # sigma_A = a - b on the Carleman arc (0.2, 0.6) crosses zero 5e-11
+        # after its end point 0.2: a zero of the Y point, not of the arc
+        structure = so.PeriodicStructure(1, 1, (), (so.Arc(0.2, 0.6),), ())
+        a = so.exprlang.Fn.of(so.parse("1+10*(t-0.20000000005)"), "a")
+        b = so.exprlang.Fn.of(so.parse("1"), "b")
+        op = analysis.OperatorSpec(a, b, so.Shift.from_lift("t"), structure,
+                                   so.space_indices(1 / 3, 0.5))
+        hits = so.find_zeros((a - b).wrap(), 0.2, 0.6)
+        assert [h.kind for h in hits] == ["crossing"]
+        assert analysis._sigma_zero_scan(op, so.build_partition(op), {}) == []
 
 
 class TestRL:
@@ -473,6 +510,15 @@ class TestReduction:
             op_m, cond = so.reduce_to_fixed(op)
             report_m = so.decide(op_m)
             assert report.right == (report_m.right and cond), (a, b, lift)
+
+    def test_joint_zero_reads_a_touch_value(self):
+        # a vanishes on [1/8, 3/8]; b dips to 1e-6 at 0.25 there, a tangential
+        # hit whose value is far above the sign band
+        a = so.exprlang.Fn.of(so.parse("0.5*(cos(4*pi*t)+abs(cos(4*pi*t)))"), "a")
+        b = so.exprlang.Fn.of(so.parse("1e-6+(sin(pi*(t-0.25)))^2"), "b")
+        ivals = [h for h in so.find_zeros(a, 0.0, 0.5) if h.kind == "interval"]
+        assert [h.kind for h in so.find_zeros(b, ivals[0].lo, ivals[0].hi)] == ["tangential"]
+        assert analysis._joint_zero(a, b, so.Arc(0.0, 0.5)) is False
 
     @pytest.mark.parametrize("a, b, expected", [
         # a(0.3) = b(0.3) = 0 on the Gamma4 arc (0, 0.5); 0.3 was no sample of

@@ -94,6 +94,15 @@ class TestAnalyze:
         assert out["verdict"] == "undecidable"
         assert code == 3
 
+    def test_non_fundamental_type_exit_3(self, tmp_path, capsys):
+        # F4's operator, right_only on a space of fundamental type
+        code = cli.run(["analyze", "-c", write_config(
+            tmp_path, a="2-1.9*sin(pi*t)", space={"fundamental_type": False})])
+        out = json.loads(capsys.readouterr().out)
+        assert (out["verdict"], out["witness"]) == (
+            "undecidable", {"type": "space_not_fundamental_type"})
+        assert code == 3
+
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_coefficient_not_finite_exit_2(self, tmp_path, capsys, command):
         # 1-periodic, but undefined at t = 0.5, a node of the scan grid

@@ -257,6 +257,27 @@ class TestFindZeros:
         assert got == [("interval", 0.1, 0.16666666666824315),
                        ("interval", 0.8333333333317569, 0.9)]
 
+    def test_hits_pinned_bit_for_bit(self):
+        # polynomials (+ - * only, no libm) on [0, 1): a crossing bisected
+        # between nodes, a zero on the node 0.25, a touch of (t - 0.3)^2 + 1e-9
+        # caught by the screen and refined, and a flat run of (t - 0.5)^6
+        # whose two ends are bisected; float.hex of (location, value, lo, hi)
+        cases = {
+            "(t-0.3)*(t+1)": [("crossing", "0x1.3333333332000p-2", "-0x1.8f57ffffffa3ep-42",
+                               None, None)],
+            "(t-0.25)*(t+1)": [("crossing", "0x1.0000000000000p-2", "0x0.0p+0", None, None)],
+            "(t-0.3)*(t-0.3)+1e-9": [("tangential", "0x1.3333333333e08p-2",
+                                      "0x1.12e0be826d695p-30", None, None)],
+            "(t-0.5)*(t-0.5)*(t-0.5)*(t-0.5)*(t-0.5)*(t-0.5)": [
+                ("interval", "0x1.0000000000000p-1", "0x0.0p+0",
+                 "0x1.f0f84095f2000p-2", "0x1.0783dfb507000p-1")],
+        }
+        hx = lambda x: None if x is None else float(x).hex()
+        for text, want in cases.items():
+            got = [(h.kind, hx(h.location), hx(h.value), hx(h.lo), hx(h.hi))
+                   for h in ex.find_zeros(ex.parse(text), 0.0, 1.0)]
+            assert got == want, text
+
     def test_domain_error_inside(self):
         with pytest.raises(ex.EvalDomainError):
             ex.find_zeros(ex.parse("log(t-0.5)"), 0.0, 1.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import shiftop as so
@@ -20,9 +22,16 @@ class TestSpaceIndices:
         with pytest.raises(ValueError):
             so.space_indices(0.6, 0.5, True)
 
-    def test_non_fundamental_warns(self):
-        with pytest.warns(UserWarning, match="fundamental type"):
-            so.space_indices(0.3, 0.5, False)
+    def test_non_fundamental_refused(self, fixture_suite):
+        # no warning: decide refuses the space in its first stage
+        op, verdict = fixture_suite["F4"]
+        x = so.space_indices(0.3, 0.5, False)
+        assert verdict == "right_only"
+        for spec in (replace(op, space=x), so.adjoint_spec(replace(op, space=x))):
+            report = so.decide(spec)
+            assert (report.verdict, report.right, report.left) == ("undecidable", None, None)
+            assert report.witness == {"type": "space_not_fundamental_type"}
+            assert report.partition_summary == {} and report.sigma_extrema == {}
 
 
 class TestAssociate:
