@@ -89,7 +89,13 @@ def eta_limits(op: OperatorSpec, t) -> tuple[float, float, float, float]:
     By the attraction lemma the limits equal the eta values at the
     repelling/attracting endpoints of the component containing t.
     """
-    tau_minus, tau_plus = orbit_limit_endpoints(op.structure, t)
+    return _eta_ends(op, *orbit_limit_endpoints(op.structure, t))
+
+
+def _eta_ends(op: OperatorSpec, tau_minus: float,
+              tau_plus: float) -> tuple[float, float, float, float]:
+    """(eta0-, eta0+, eta1-, eta1+): eta at the repelling end tau_minus and
+    at the attracting end tau_plus (both p at a point p of Y)."""
     e0m, e1m = eta_values(op, tau_minus)
     e0p, e1p = eta_values(op, tau_plus)
     return e0m, e0p, e1m, e1p
@@ -153,19 +159,13 @@ def build_partition(op: OperatorSpec) -> GammaPartition:
     endpoints), so one classification per arc suffices.  Values inside the
     sign band classify as degenerate, which downstream verdicts refuse.
     """
+    def classified(tau_minus, tau_plus):
+        eta = _eta_ends(op, tau_minus, tau_plus)
+        return Classification(_classify(eta), eta)
+
     ps = op.structure
-    arcs = []
-    for g in ps.gamma:
-        e0m, e1m = eta_values(op, g.tau_minus)
-        e0p, e1p = eta_values(op, g.tau_plus)
-        eta = (e0m, e0p, e1m, e1p)
-        arcs.append((g, Classification(_classify(eta), eta)))
-    points = []
-    for p in ps.y:
-        e0, e1 = eta_values(op, p)
-        eta = (e0, e0, e1, e1)
-        points.append((p, Classification(_classify(eta), eta)))
-    return GammaPartition(tuple(arcs), tuple(points))
+    return GammaPartition(tuple((g, classified(g.tau_minus, g.tau_plus)) for g in ps.gamma),
+                          tuple((p, classified(p, p)) for p in ps.y))
 
 
 def sigma_A(op: OperatorSpec, t, partition: GammaPartition | None = None) -> float:

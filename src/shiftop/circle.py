@@ -134,7 +134,7 @@ class Shift:
         lifted = Scan(lf, 0.0, 1.0, SCAN_CELLS)
         jump = lifted.fx[-1] - lifted.fx[0]
         if abs(abs(jump) - 1.0) > 1e-9:
-            raise StructureError(f"|L(1)-L(0)| = {abs(jump)!r}, expected 1 within 1e-9")
+            raise StructureError(f"|L(1)-L(0)| = {float(abs(jump))!r}, expected 1 within 1e-9")
         sigma = 1 if jump > 0 else -1
         if orientation == "preserve" and sigma != 1:
             raise StructureError("lift is decreasing but orientation 'preserve' was requested")
@@ -321,9 +321,9 @@ class PeriodicStructure:
         return min(self.y, key=lambda p: float(circle_dist(t, p)))
 
 
-def _periodic_branches(shift: Shift) -> tuple[int, list[int]]:
-    """The multiplicity m and the lift branches n on which L^m(x) - x - n
-    may vanish.
+def _periodic_branches(shift: Shift) -> tuple[int, list[int], Fn]:
+    """(m, branches, u): the multiplicity m, the lift branches n on which
+    u - n may vanish, and u(x) = L^m(x) - x as an Fn.
 
     Carries y = L^j(x) forward on the grid of a Scan of L one iterate at a
     time, and stops at the first j whose u = L^j(x) - x comes within 1e-7
@@ -348,7 +348,7 @@ def _periodic_branches(shift: Shift) -> tuple[int, list[int]]:
             umax = max(umax, float(np.max(fine)))
         branches = list(range(math.ceil(umin - 1e-7), math.floor(umax + 1e-7) + 1))
         if branches or reversing:
-            return j, branches
+            return j, branches, u_j
     raise NoPeriodicStructureError(f"no periodic structure with multiplicity <= {_M_MAX}")
 
 
@@ -364,12 +364,11 @@ def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
     Tangential zeros of L^m(x) - x - n (find_zeros) mark the structure
     uncertain; downstream verdicts refuse to decide on uncertain structures.
     """
-    m, branches = _periodic_branches(shift)
-    # L^m(x) - x - n is zero at the fixed points of alpha_m on lift branch n
-    moved = Fn(lambda x: _lift_power(shift, m, x), "shift.lift") - Fn(lambda x: x, "t")
+    m, branches, u = _periodic_branches(shift)
+    # u - n = L^m(x) - x - n is zero at the fixed points of alpha_m on lift branch n
     found: list[tuple[int, list[ZeroHit]]] = []
     for n in branches:
-        hits = find_zeros(moved - n, 0.0, 1.0)
+        hits = find_zeros(u - n, 0.0, 1.0)
         if hits:
             found.append((n, hits))
     if not found:
@@ -382,11 +381,6 @@ def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
 
     points = [h.location for h in hits if h.kind != "interval"]
     intervals = [(float(h.lo), float(h.hi)) for h in hits if h.kind == "interval"]
-
-    # full-circle fixed set
-    if intervals and intervals[0][0] <= 1e-12 and intervals[0][1] >= 1.0 - 1e-12:
-        return PeriodicStructure(m, shift.orientation, (), (Arc(0.0, 1.0),), (),
-                                 uncertain=uncertain)
 
     # components as (start, end) with end >= start, sorted by start
     comps = sorted([(p, p) for p in points] + intervals)
@@ -421,7 +415,7 @@ def compute_periodic_structure(shift: Shift) -> PeriodicStructure:
         if length <= touch:
             continue
         arc = Arc(wrap(b), wrap(b) + length)
-        if moved(arc.midpoint()) - n > 0:
+        if u(arc.midpoint()) - n > 0:
             tau_minus, tau_plus = wrap(arc.start), wrap(arc.end)
         else:
             tau_minus, tau_plus = wrap(arc.end), wrap(arc.start)

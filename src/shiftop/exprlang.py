@@ -621,25 +621,21 @@ class Scan:
         in_flat = np.zeros(cells + 1, dtype=bool)
         g = lambda x: abs(fn(x)) - FLAT_TOL   # zero at the ends of a flat run
 
-        # flat runs spanning at least two cells
-        i = 0
-        while i <= cells:
-            if flat[i]:
-                j = i
-                while j + 1 <= cells and flat[j + 1]:
-                    j += 1
-                if j - i >= 2:
-                    a = xs[i]
-                    if i > 0:
-                        a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), ZERO_TOL)
-                    b = xs[j]
-                    if j < cells:
-                        b = _bisect(g, xs[j], xs[j + 1], -FLAT_TOL, g(xs[j + 1]), ZERO_TOL)
-                    hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
-                    in_flat[i:j + 1] = True
-                i = j + 1
-            else:
-                i += 1
+        # flat runs spanning at least two cells: samples i..j between the
+        # rising and the falling edge of the flat mask
+        edges = np.diff(flat.astype(np.int8), prepend=0, append=0)
+        runs = zip(np.flatnonzero(edges > 0).tolist(), (np.flatnonzero(edges < 0) - 1).tolist())
+        for i, j in runs:
+            if j - i < 2:
+                continue
+            a = xs[i]
+            if i > 0:
+                a = _bisect(g, xs[i - 1], xs[i], g(xs[i - 1]), g(xs[i]), ZERO_TOL)
+            b = xs[j]
+            if j < cells:
+                b = _bisect(g, xs[j], xs[j + 1], -FLAT_TOL, g(xs[j + 1]), ZERO_TOL)
+            hits.append(ZeroHit(0.5 * (a + b), "interval", 0.0, a, b))
+            in_flat[i:j + 1] = True
 
         sgn = np.where(np.abs(fx) <= node_atol, 0, np.sign(fx))
 

@@ -43,6 +43,13 @@ class TestShiftApply:
         # alpha_{-1}'(0) = 1/alpha'(0)
         assert inv.deriv(0.0) == pytest.approx(1.0 / (1 + 0.2 * math.pi), rel=1e-10)
 
+    def test_power_is_iterate(self, s1):
+        sq = s1.power(2)
+        xs = np.linspace(-0.5, 1.5, 41)
+        assert np.array_equal(sq.lift_ext(xs), s1.lift_ext(s1.lift_ext(xs)))
+        ts = np.linspace(0.0, 1.0, 41)
+        assert np.allclose(sq.deriv(ts), s1.deriv(ts) * s1.deriv(s1(ts)), rtol=1e-14, atol=0.0)
+
 
 class TestShiftValidation:
     def test_non_monotone_rejected(self):
@@ -56,6 +63,10 @@ class TestShiftValidation:
     def test_orientation_mismatch_rejected(self):
         with pytest.raises(StructureError, match="decreasing"):
             so.Shift.from_lift("1-t", orientation="preserve")
+        assert so.Shift.from_lift("-t", orientation="reverse").orientation == -1
+        message = "^lift is increasing but orientation 'reverse' was requested$"
+        with pytest.raises(StructureError, match=message):
+            so.Shift.from_lift("t+0.1*sin(2*pi*t)", orientation="reverse")
 
 
 class TestInverseSolve:
@@ -125,17 +136,20 @@ class TestInverseSolve:
         assert np.max(np.abs(shift.lift_ext(xs) - ys)) <= 1e-10
 
     def test_scalar_solve_lift_evaluations(self, s1):
+        # the start point and two Newton steps: a step that halves |g| keeps
+        # Newton for the next one
         calls = []
+        for shift in (s1, so.Shift.from_lift("t+0.03+0.1*sin(2*pi*t)"),
+                      so.Shift.from_lift("1-t+0.1*sin(2*pi*t)")):
+            def counted(x, lift=shift.lift_ext):
+                calls.append(x)
+                return lift(x)
 
-        def counted(x):
-            calls.append(x)
-            return s1.lift_ext(x)
-
-        inv = so.Shift(counted, s1.deriv, 1).inverse()
-        for y in np.linspace(-1.0, 2.0, 61):
-            calls.clear()
-            inv.lift_ext(float(y))
-            assert len(calls) <= 10, (y, len(calls))
+            inv = so.Shift(counted, shift.deriv, shift.orientation).inverse()
+            for y in np.linspace(-1.0, 2.0, 61):
+                calls.clear()
+                inv.lift_ext(float(y))
+                assert len(calls) <= 3, (y, len(calls))
 
     def test_non_monotone_callable_rejected(self):
         with pytest.raises(StructureError, match="monotone"):
@@ -304,6 +318,11 @@ class TestArc:
         assert a.contains(0.9)
         assert a.contains(0.1)
         assert not a.contains(0.5)
+
+    def test_contains_own_start(self):
+        # an arc is open at its start unless it is the full circle
+        assert not Arc(0.2, 0.5).contains(0.2)
+        assert Arc(0.0, 1.0).contains(0.0)
 
     def test_midpoint_wraps(self):
         assert Arc(0.8, 1.2).midpoint() == pytest.approx(0.0, abs=1e-15)

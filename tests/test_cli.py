@@ -214,6 +214,29 @@ class TestConfigTable:
         got = type(value).__name__
         assert err == f"config error: config field {section} must be object, got {got}\n"
 
+    @pytest.mark.parametrize("config, message", [
+        (None, "cannot read config: [Errno 2] No such file or directory: {path!r}"),
+        ('{"shift": ', "config is not valid JSON: Expecting value: line 1 column 11 (char 10)"),
+        ("[1, 2]", "config root must be a JSON object"),
+        (("shift.orientation", "forward"),
+         "shift.orientation must be one of auto|preserve|reverse"),
+        (("shift.lift", "t+0.1*sin(2*pi*t"), "shift.lift: expected ')' (byte offset 16)"),
+        (("shift.lift", "t+sin(2*pi*t)/(2*pi)"),
+         "shift.lift: lift derivative vanishes on [0,1]; not a diffeomorphism"),
+        (("shift.lift", "2*t"), "shift.lift: |L(1)-L(0)| = 2.0, expected 1 within 1e-9"),
+        (("a", "t"), "coefficient a is not 1-periodic"),
+    ], ids=["missing_file", "invalid_json", "root_not_object", "orientation", "lift_syntax",
+            "lift_derivative_vanishes", "lift_jump", "a_not_periodic"])
+    def test_config_error_exit_2(self, tmp_path, capsys, config, message):
+        # config: None for no file, raw text, or a (dotted path, value) edit
+        path = tmp_path / "raw.json"
+        if isinstance(config, tuple):
+            path = Path(config_with(tmp_path, *config))
+        elif config is not None:
+            path.write_text(config, encoding="utf-8")
+        err = run_error(["analyze", "-c", str(path)], capsys)
+        assert err == f"config error: {message.format(path=str(path))}\n"
+
 
 class TestDecompose:
     def test_structure_fields(self, tmp_path, capsys):

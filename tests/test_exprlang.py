@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -256,6 +257,25 @@ class TestFindZeros:
         got = [(h.kind, h.lo, h.hi) for h in ex.find_zeros(e, 0.1, 0.9)]
         assert got == [("interval", 0.1, 0.16666666666824315),
                        ("interval", 0.8333333333317569, 0.9)]
+
+    def test_flat_runs_of_three_or_more_samples(self):
+        # f is 0 on the nodes of a random mask and 1 everywhere else: each run
+        # of at least three zero nodes is one interval whose ends bisect to
+        # its first and last node, at the scan's ends too
+        cells = 64
+        nodes = np.linspace(0.0, 1.0, cells + 1)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            mask = rng.random(cells + 1) < 0.6
+            fn = lambda x: np.where(np.isin(x, nodes[mask]), 0.0, 1.0)
+            want = []
+            for flat, run in itertools.groupby(range(cells + 1), key=lambda k: mask[k]):
+                run = list(run)
+                if flat and len(run) >= 3:
+                    want.append((run[0], run[-1]))
+            got = [(round(h.lo * cells), round(h.hi * cells))
+                   for h in ex.Scan(fn, 0.0, 1.0, cells).zeros() if h.kind == "interval"]
+            assert got == want
 
     def test_hits_pinned_bit_for_bit(self):
         # polynomials (+ - * only, no libm) on [0, 1): a crossing bisected

@@ -209,6 +209,17 @@ class TestRadiusEstimate:
         est = so.estimate_radius_numeric(grid, iters=200)
         assert est.estimate == pytest.approx(closed, rel=1e-9)
 
+    @pytest.mark.parametrize("g, c, r", [("2+cos(2*pi*t)", 2.0, 1.0),
+                                         ("1+0.9*cos(2*pi*t)", 1.0, 0.9)])
+    def test_no_periodic_points(self, g, c, r):
+        # an irrational rotation: the ratio lag falls back to iters // 2, the
+        # sweep runs to its last step, and r(gW) = exp(int log|g|), which is
+        # (c + sqrt(c^2 - r^2)) / 2 for g = c + r*cos(2*pi*t)
+        rot = so.Shift.from_lift("t+0.6180339887498949")
+        grid = so.weighted_shift_grid(so.parse(g), rot, 1024, 2.0)
+        est = so.estimate_radius_numeric(grid, iters=200)
+        assert est.estimate == pytest.approx((c + math.sqrt(c * c - r * r)) / 2, rel=0.01)
+
     def test_makes_no_stencil_product(self, s1, monkeypatch):
         grid = so.weighted_shift_grid(so.parse("2+sin(4*pi*t)"), s1, 1024, 2.0)
 
