@@ -9,13 +9,15 @@ periodic points of any multiplicity are handled uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
-from .exprlang import ZERO_TOL, Fn, Scan, find_zeros, is_periodic, parse
+from .exprlang import SCAN_CELLS, ZERO_TOL, Fn, Scan, find_zeros, is_periodic, parse
 from .circle import (POINT_TOL, Arc, GammaArc, PeriodicStructure, Shift, StructureError,
                      circle_dist, orbit_limit_endpoints, orbit_product, wrap)
 from .indices import SpaceIndices, associate_indices
+from .spectrum import annulus_radii
 
 __all__ = [
     "OperatorSpec", "operator_spec", "GammaPartition", "Classification",
@@ -76,11 +78,10 @@ def operator_spec(a, b, shift, space: SpaceIndices,
 
 
 def eta_values(op: OperatorSpec, t):
-    """(eta0, eta1) at t: |a_m| - |b_m| * (min resp. max dilation factor)."""
+    """(eta0, eta1) at t: |a_m| minus the annulus radii (delta, Delta) of b_m."""
     am = np.abs(orbit_product(op.a, op.shift, op.m, t))
-    bm = np.abs(orbit_product(op.b, op.shift, op.m, t))
-    lo, hi = op.space.dilation_pair(orbit_product(op.shift.deriv, op.shift, op.m, t))
-    return am - bm * lo, am - bm * hi
+    delta, Delta = annulus_radii(op.b.orbit(op.shift, op.m), op.shift, op.m, op.space, t)
+    return am - delta, am - Delta
 
 
 def eta_limits(op: OperatorSpec, t) -> tuple[float, float, float, float]:
@@ -89,15 +90,8 @@ def eta_limits(op: OperatorSpec, t) -> tuple[float, float, float, float]:
     By the attraction lemma the limits equal the eta values at the
     repelling/attracting endpoints of the component containing t.
     """
-    return _eta_ends(op, *orbit_limit_endpoints(op.structure, t))
-
-
-def _eta_ends(op: OperatorSpec, tau_minus: float,
-              tau_plus: float) -> tuple[float, float, float, float]:
-    """(eta0-, eta0+, eta1-, eta1+): eta at the repelling end tau_minus and
-    at the attracting end tau_plus (both p at a point p of Y)."""
-    e0m, e1m = eta_values(op, tau_minus)
-    e0p, e1p = eta_values(op, tau_plus)
+    (e0m, e1m), (e0p, e1p) = (eta_values(op, tau)
+                              for tau in orbit_limit_endpoints(op.structure, t))
     return e0m, e0p, e1m, e1p
 
 
@@ -159,8 +153,11 @@ def build_partition(op: OperatorSpec) -> GammaPartition:
     endpoints), so one classification per arc suffices.  Values inside the
     sign band classify as degenerate, which downstream verdicts refuse.
     """
+    eta_at = cache(lambda tau: eta_values(op, tau))   # once per distinct end
+
     def classified(tau_minus, tau_plus):
-        eta = _eta_ends(op, tau_minus, tau_plus)
+        (e0m, e1m), (e0p, e1p) = eta_at(tau_minus), eta_at(tau_plus)
+        eta = (e0m, e0p, e1m, e1p)
         return Classification(_classify(eta), eta)
 
     ps = op.structure
@@ -324,9 +321,9 @@ def _sigma_zero_scan(op: OperatorSpec, partition: GammaPartition,
         ext["min_abs"] = min(ext["min_abs"], float(np.min(np.abs(vals))))
 
     for region, arc in regions:
-        fn = _region_sigma_fn(op, region).wrap()
-        record(region, Scan(fn, arc.start, arc.end, 256).fx)
-        hits = find_zeros(fn, arc.start, arc.end)
+        scan = Scan(_region_sigma_fn(op, region).wrap(), arc.start, arc.end, SCAN_CELLS)
+        record(region, scan.fx[::SCAN_CELLS // 256])   # the nodes of a 256-cell Scan
+        hits = scan.zeros()
         if arc.length != 1.0:   # not the full circle
             hits = _filter_near_y(hits, ps)
         for h in hits:

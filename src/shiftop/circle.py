@@ -6,8 +6,9 @@ inverses, and powers are all handled through the extended lift, so
 numerically-defined shifts (inverse and composed lifts) work the same way
 as symbolic ones.
 
-Each shift tabulates one period of sigma*L, an increasing function, on 257
-nodes.  An inverse solve L(x) = y looks y up in that table for a bracket
+Each shift samples its lift L once, on the 4097 nodes _LIFT_X of one
+period, and checks there that sigma*L increases strictly.  An inverse
+solve L(x) = y looks y up in every 16th sample of sigma*L for a bracket
 cell of width 1/256 and an interpolated start point, then takes Newton
 steps that are replaced by bisection whenever they leave the bracket or
 stop halving the residual (the safeguarded Newton method, "rtsafe" in
@@ -34,9 +35,10 @@ __all__ = [
 ORBIT_GUARD = 10 ** 6
 POINT_TOL = 1e-9
 _M_MAX = 16   # highest multiplicity the structure scan tries
-# table nodes for inverse solves, and a step cap above the 45 halvings
-# that bisection alone needs to narrow a 1/256 cell to one ulp
-_TABLE_X = np.linspace(0.0, 1.0, 257)
+# lift sample nodes, every 16th a node of the inverse-solve table, and a step
+# cap above the 45 halvings that bisection needs to narrow a 1/256 cell to 1 ulp
+_LIFT_X = np.linspace(0.0, 1.0, SCAN_CELLS + 1)
+_TABLE_X = _LIFT_X[::SCAN_CELLS // 256]
 _SOLVE_CAP = 48
 _EPS = float(np.finfo(float).eps)
 
@@ -117,12 +119,15 @@ class Shift:
         self.deriv = Fn.of(deriv, "shift.lift'")
         self.orientation = orientation
         self._inv: Shift | None = None
-        # one period of sigma*L, increasing: the lookup table of _solve_inverse
-        self._table = orientation * self.lift_ext(_TABLE_X)
-        steps = np.diff(self._table)
+        # only the samples stay (for _periodic_branches): a shift and its cached
+        # inverse form a cycle, which lives until the cyclic collector runs
+        samples = self._lift_samples = self.lift_ext(_LIFT_X)
+        steps = orientation * np.diff(samples)
         if not np.all(steps > 0.0):
             k = int(np.argmin(steps))
-            raise StructureError(f"lift is not strictly monotone near t={_TABLE_X[k]:.6f}")
+            raise StructureError(f"lift is not strictly monotone near t={_LIFT_X[k]:.6f}")
+        # sigma*L on _TABLE_X: the lookup table of _solve_inverse
+        self._table = orientation * samples[::SCAN_CELLS // 256]
 
     @classmethod
     def from_lift(cls, lift, orientation: str = "auto") -> "Shift":
@@ -131,8 +136,7 @@ class Shift:
         lf = Fn.of(lift_expr, "shift.lift")
         df = Fn.of(differentiate(lift_expr), "shift.lift'")
 
-        lifted = Scan(lf, 0.0, 1.0, SCAN_CELLS)
-        jump = lifted.fx[-1] - lifted.fx[0]
+        jump = lf(1.0) - lf(0.0)
         if abs(abs(jump) - 1.0) > 1e-9:
             raise StructureError(f"|L(1)-L(0)| = {float(abs(jump))!r}, expected 1 within 1e-9")
         sigma = 1 if jump > 0 else -1
@@ -140,18 +144,15 @@ class Shift:
             raise StructureError("lift is decreasing but orientation 'preserve' was requested")
         if orientation == "reverse" and sigma != -1:
             raise StructureError("lift is increasing but orientation 'reverse' was requested")
-        diffs = np.diff(lifted.fx) * sigma
-        if np.min(diffs) <= 0.0:
-            k = int(np.argmin(diffs))
-            raise StructureError(f"lift is not strictly monotone near t={lifted.xs[k]:.6f}")
-        if Scan(df, 0.0, 1.0, SCAN_CELLS).min_abs() <= 0.0:
-            raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
 
         def lift_ext(x):
             n = np.floor(x)
             return lf(x - n) + sigma * n
 
-        return cls(Fn(lift_ext, "shift.lift"), df.wrap(), sigma)
+        shift = cls(Fn(lift_ext, "shift.lift"), df.wrap(), sigma)   # checks monotonicity
+        if Scan(df, 0.0, 1.0, SCAN_CELLS).min_abs() <= 0.0:
+            raise StructureError("lift derivative vanishes on [0,1]; not a diffeomorphism")
+        return shift
 
     def __call__(self, t):
         return wrap(self.lift_ext(t))
@@ -325,7 +326,7 @@ def _periodic_branches(shift: Shift) -> tuple[int, list[int], Fn]:
     """(m, branches, u): the multiplicity m, the lift branches n on which
     u - n may vanish, and u(x) = L^m(x) - x as an Fn.
 
-    Carries y = L^j(x) forward on the grid of a Scan of L one iterate at a
+    Carries y = L^j(x) forward on the shift's samples of L one iterate at a
     time, and stops at the first j whose u = L^j(x) - x comes within 1e-7
     of an integer, after a 64-cell Scan of u over the two cells around each
     extreme sample.  The integers it comes within 1e-7 of are the branches.
@@ -334,8 +335,7 @@ def _periodic_branches(shift: Shift) -> tuple[int, list[int], Fn]:
     are tried up to m = _M_MAX.
     """
     reversing = shift.orientation == -1
-    grid = Scan(shift.lift_ext, 0.0, 1.0, SCAN_CELLS)
-    xs, y = grid.xs, grid.fx
+    xs, y = _LIFT_X, shift._lift_samples
     for j in (2,) if reversing else range(1, _M_MAX + 1):
         if j > 1:
             y = shift.lift_ext(y)

@@ -67,7 +67,7 @@ def radius_bound(g, shift: Shift, structure: PeriodicStructure,
     """
     m = structure.m
     g_m = Fn.of(g, "weight").orbit(shift, m).wrap()
-    Delta = Fn(lambda t: _delta_Delta(g_m, shift, m, x, t)[1], "Delta")
+    Delta = Fn(lambda t: annulus_radii(g_m, shift, m, x, t)[1], "Delta")
     sups = list(Delta(np.asarray(structure.lambda_points)))
     sups += [Scan(Delta, arc.start, arc.end, SAMPLES).extreme(1.0)
              for arc in structure.lambda_arcs]
@@ -76,7 +76,9 @@ def radius_bound(g, shift: Shift, structure: PeriodicStructure,
     return float(np.max(sups) ** (1.0 / m))
 
 
-def _delta_Delta(d_m, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
+def annulus_radii(d_m, shift: Shift, m: int, x: SpaceIndices, t) -> tuple[float, float]:
+    """(delta, Delta) = |d_m(t)| * (min, max dilation factor of alpha_m'(t)):
+    at a periodic point t, the m-th powers of the radii of d*W's annulus."""
     dm = np.abs(d_m(t))
     lo, hi = x.dilation_pair(orbit_product(shift.deriv, shift, m, t))
     return dm * lo, dm * hi
@@ -119,7 +121,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
     raw: list[Annulus] = []
     for g in structure.gamma:
         endpoints = [g.tau_minus, g.tau_plus]
-        dd = [_delta_Delta(d_m, shift, m, x, tau) for tau in endpoints]
+        dd = [annulus_radii(d_m, shift, m, x, tau) for tau in endpoints]
         delta_min = min(v[0] for v in dd)
         Delta_max = max(v[1] for v in dd)
 
@@ -128,7 +130,7 @@ def shift_spectrum(d, shift: Shift, structure: PeriodicStructure,
         raw.append(Annulus(0.0 if disk else delta_min ** (1.0 / m), Delta_max ** (1.0 / m)))
 
     for tau in structure.yprime:
-        delta, Delta = _delta_Delta(d_m, shift, m, x, tau)
+        delta, Delta = annulus_radii(d_m, shift, m, x, tau)
         raw.append(Annulus(delta ** (1.0 / m), Delta ** (1.0 / m)))
 
     return SpectrumSet(m, _merge(raw), tuple(raw),
@@ -142,8 +144,8 @@ def one_sided_core_annuli(shift: Shift, arc: GammaArc,
     shift_spectrum gives the weight 1, degenerating to circles when the
     indices coincide.  m is the shift's multiplicity."""
     m = detect_orientation_and_multiplicity(shift)[1]
-    deriv_m = shift.deriv.orbit(shift, m)
-    return tuple(Annulus(*(r ** (1.0 / m) for r in x.dilation_pair(deriv_m(tau))))
+    one = lambda t: 1.0   # the weight
+    return tuple(Annulus(*(r ** (1.0 / m) for r in annulus_radii(one, shift, m, x, tau)))
                  for tau in (arc.tau_minus, arc.tau_plus))
 
 

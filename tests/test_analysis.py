@@ -188,6 +188,19 @@ class TestPartition:
             for p, c in part.points:
                 assert c.region not in ("gamma4", "gamma5"), name
 
+    def test_eta_once_per_distinct_end(self, fixture_suite, monkeypatch):
+        # F1's two arcs and its two Y points all end at 0 and 0.5
+        calls = []
+        eta_values = analysis.eta_values
+
+        def counted(op, t):
+            calls.append(t)
+            return eta_values(op, t)
+
+        monkeypatch.setattr(analysis, "eta_values", counted)
+        so.build_partition(fixture_suite["F1"][0])
+        assert calls == [0.0, 0.5]
+
     def test_degenerate_band(self, s1, s1_structure, idx):
         # eta1(0) = 0 exactly: |a| = max dilation factor at 0
         a0 = max(ALPHA_PRIME_0 ** (-1 / 3), ALPHA_PRIME_0 ** (-1 / 2))
@@ -221,6 +234,24 @@ class TestSigmaA:
         part = so.build_partition(op)
         assert so.sigma_A(op, 0.3, part) == pytest.approx(3.0)
 
+
+    def test_extrema_nodes_are_every_16th_scan_node(self, fixture_suite, idx):
+        # the sigma_extrema record reads every 16th node of the 4096-cell
+        # zero scan: bit for bit the nodes and values of a 256-cell Scan
+        ops = [op for op, _ in fixture_suite.values()]
+        # S1 turned by 0.3, with arcs (0.3, 0.8) and (0.8, 1.3), the second wrapping
+        ops.append(so.operator_spec("2-1.9*abs(sin(pi*(t-0.3)))", "1", "t+0.1*sin(2*pi*(t-0.3))",
+                                    idx))
+        assert any(g.end > 1.0 for g in ops[-1].structure.gamma)
+        for op in ops:
+            arcs = op.structure.omega + op.structure.gamma
+            for region in ("gamma1", "gamma2", "gamma3"):
+                fn = analysis._region_sigma_fn(op, region).wrap()
+                for arc in arcs:
+                    fine = so.exprlang.Scan(fn, arc.start, arc.end, so.exprlang.SCAN_CELLS)
+                    coarse = so.exprlang.Scan(fn, arc.start, arc.end, 256)
+                    assert fine.xs[::16].tobytes() == coarse.xs.tobytes(), (region, arc)
+                    assert fine.fx[::16].tobytes() == coarse.fx.tobytes(), (region, arc)
 
     def test_partition_built_when_not_given(self, idx):
         shift = so.Shift.from_lift("t+0.05*sin(4*pi*t)")

@@ -156,17 +156,30 @@ class TestInverseSolve:
             so.Shift(lambda x: x + 0.3 * np.sin(2 * np.pi * x),
                      lambda t: 1 + 0.6 * np.pi * np.cos(2 * np.pi * t), 1)
 
+        # L falls only on (0.298, 0.2988), inside the table cell between the
+        # nodes 76/256 and 77/256, where it equals t: the 4097-node check sees it
+        def dip(x):
+            u = x - np.floor(x)
+            return x - 0.0016 * np.maximum(0.0, 1.0 - np.abs(u - 0.2988) / 0.0008)
+
+        message = r"^lift is not strictly monotone near t=0\.298096$"
+        with pytest.raises(StructureError, match=message):
+            so.Shift(dip, lambda t: 1.0 + 0.0 * t, 1)
+
     def test_failure_names_worst_y(self):
-        # a jump of 0.001 at t = 0.301, inside one table cell: the values L
-        # skips have no preimage, so the solve cannot converge there
+        # an increasing lift that jumps by 0.001 at t = 0.301: the values it
+        # skips, (0.300699, 0.301699], have no preimage.  The inverse shift
+        # samples its lift at the 4097 nodes k/4096, four of which lie in the
+        # gap; the worst is 1234/4096, 0.000429 below the gap's upper end
         def lift(x):
             n = np.floor(x)
             u = x - n
-            return u + 0.001 * (u > 0.301) + n
+            return 0.999 * u + 0.001 * (u > 0.301) + n
 
-        shift = so.Shift(lift, lambda t: 1.0 + 0.0 * t, 1)
-        with pytest.raises(StructureError, match=r"\|L\(x\) - y\| = 0\.0004 at y = 0\.3014;"):
-            shift.apply(np.array([0.1, 0.3014, 0.3012, 0.7]), -1)
+        shift = so.Shift(lift, lambda t: 0.999 + 0.0 * t, 1)
+        with pytest.raises(StructureError,
+                           match=r"\|L\(x\) - y\| = 0\.000429 at y = 0\.30126953125;"):
+            shift.apply(np.array([0.1, 0.7]), -1)
 
 
 class TestDetect:

@@ -99,6 +99,9 @@ class TestShiftSpectrum:
         d = lambda t: np.sin(2 * np.pi * (np.asarray(t) - 0.2))
         ss = so.shift_spectrum(d, s1, s1_structure, idx)
         assert any(a.r_in == 0.0 for a in ss.raw_annuli)
+        # |d_m| = GC_THRESHOLD exactly, with no zero: the threshold is inclusive
+        ss = so.shift_spectrum(so.parse("1e-10"), s1, s1_structure, idx)
+        assert [a.r_in for a in ss.raw_annuli] == [0.0, 0.0]
 
     def test_disjoint_annuli_stay_apart(self, s1, s1_structure, idx):
         # the Y' point 0.2 sits under the weight's peak: its annulus lies
@@ -107,6 +110,10 @@ class TestShiftSpectrum:
         ss = so.shift_spectrum(so.parse("1+0.9*exp(-((t-0.2)/0.01)^2)"), s1, ps, idx)
         got = [(round(a.r_in, 4), round(a.r_out, 4)) for a in ss.annuli]
         assert got == [(0.7837, 1.6403), (1.7387, 1.7909)]
+
+    def test_annuli_within_1e_12_merge(self):
+        touching = [so.Annulus(0.5, 1.0), so.Annulus(1.0 + 1e-12, 2.0)]
+        assert so.spectrum._merge(touching) == (so.Annulus(0.5, 2.0),)
 
     def test_yprime_annulus_included(self, s1, s1_structure, idx):
         ps = replace(s1_structure, yprime=(0.2,))
@@ -175,6 +182,19 @@ class TestMembership:
         assert so.spectrum_contains(ss, 1.0) == "inside"
         assert so.spectrum_contains(ss, 2.0) == "outside"
         assert so.spectrum_contains(ss, RADIUS_S1_P2) == "boundary"
+
+    def test_band_edges_are_boundary(self):
+        # |z| exactly 1e-9 from a radius, or Im(z^m) exactly 1e-9 * max(1, |z^m|):
+        # every band is closed
+        def contains(annuli, z, curve_ranges=()):
+            return so.spectrum_contains(so.SpectrumSet(1, annuli, annuli, (), curve_ranges), z)
+
+        assert contains((so.Annulus(1e-9, 0.5),), 2e-9) == "boundary"
+        assert contains((so.Annulus(0.0, 1e-9),), 2e-9) == "boundary"
+        assert contains((so.Annulus(0.5, 0.75),), 0.75 - 1e-9) == "boundary"
+        assert contains((), 0.5 + 1e-9j, ((0.25, 0.75),)) == "inside"
+        assert contains((), 0.25 - 1e-9, ((0.25, 0.75),)) == "boundary"
+        assert contains((), 0.75 + 1e-9, ((0.25, 0.75),)) == "boundary"
 
     def test_rotational_symmetry(self, idx):
         rng = random.Random(5)
