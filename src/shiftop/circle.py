@@ -12,12 +12,20 @@ solve L(x) = y looks y up in every 16th sample of sigma*L for a bracket
 cell of width 1/256 and an interpolated start point, then takes Newton
 steps that are replaced by bisection whenever they leave the bracket or
 stop halving the residual (the safeguarded Newton method, "rtsafe" in
-Press et al., Numerical Recipes, section 9.4).
+Press et al., Numerical Recipes, section 9.4).  A float target is solved
+on Python floats, at about the cost of a few forward lift evaluations;
+an array target steps all its elements at once.
+
+A shift holds its lift, derivative, samples and the inverse it built.
+The inverse's lift and derivative close over the shift's lift,
+derivative and table, never over the shift itself, and the inverse holds
+the shift only weakly, so the pair is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -118,9 +126,9 @@ class Shift:
         self.lift_ext = Fn.of(lift_ext, "shift.lift")
         self.deriv = Fn.of(deriv, "shift.lift'")
         self.orientation = orientation
-        self._inv: Shift | None = None
-        # only the samples stay (for _periodic_branches): a shift and its cached
-        # inverse form a cycle, which lives until the cyclic collector runs
+        self._inv: Shift | None = None   # the shift inverse() built or rebuilt
+        self._of: tuple | None = None    # on an inverse: (weakref, lift_ext, deriv) of its shift
+        # only the samples stay, for _periodic_branches
         samples = self._lift_samples = self.lift_ext(_LIFT_X)
         steps = orientation * np.diff(samples)
         if not np.all(steps > 0.0):
@@ -157,67 +165,28 @@ class Shift:
     def __call__(self, t):
         return wrap(self.lift_ext(t))
 
-    def _solve_inverse(self, y):
-        """Solve L(x) = y for the extended lift, elementwise.
-
-        g(x) = sigma*(L(x) - y) increases in x.  With z = sigma*y and
-        n = floor(z - table[0]), r = z - n lies in one period of the table,
-        whose cell around r gives the bracket n + [x_{j-1}, x_j] and whose
-        linear interpolant gives the start point.  Each step evaluates g at
-        the Newton step x - g/g' from the best point x so far, or at the
-        bracket midpoint when that step leaves the bracket or the previous
-        step failed to halve |g|.  The new point replaces the bracket end
-        with the same sign of g, and replaces x if its |g| is smaller.  An
-        element stops once |g| <= 4 eps (1 + |y|), or after _SOLVE_CAP
-        steps.  Raises StructureError, naming the worst y and its residual,
-        unless |L(x) - y| <= 1e-10 everywhere.
-        """
-        s = self.orientation
-        sls = self._table
-        yv = np.ravel(y)
-        n = np.floor(s * yv - sls[0])
-        r = s * yv - n
-        j = np.searchsorted(sls[1:-1], r) + 1   # sls[j-1] < r <= sls[j], 1 <= j <= 256
-        lo, hi = n + _TABLE_X[j - 1], n + _TABLE_X[j]
-        x = n + np.interp(r, sls, _TABLE_X)
-        g = s * (self.lift_ext(x) - yv)
-        lo = np.where(g < 0.0, x, lo)
-        hi = np.where(g > 0.0, x, hi)
-        tol = 4.0 * _EPS * (1.0 + np.abs(yv))
-        halved = np.ones(yv.shape, dtype=bool)   # the latest step halved |g|
-        act = np.flatnonzero(np.abs(g) > tol)
-        for _ in range(_SOLVE_CAP):
-            if act.size == 0:
-                break
-            xa, ga, la, ha = x[act], g[act], lo[act], hi[act]
-            newton = xa - ga / (s * self.deriv(xa))
-            take = halved[act] & (la <= newton) & (newton <= ha)
-            c = np.where(take, newton, 0.5 * (la + ha))
-            gc = s * (self.lift_ext(c) - yv[act])
-            neg = gc < 0.0
-            lo[act] = np.where(neg, c, la)
-            hi[act] = np.where(neg, ha, c)
-            halved[act] = np.abs(gc) <= 0.5 * np.abs(ga)
-            # x keeps the point of least |g| found so far
-            better = np.abs(gc) < np.abs(ga)
-            x[act] = np.where(better, c, xa)
-            g[act] = np.where(better, gc, ga)
-            act = act[np.abs(g[act]) > tol[act]]
-        resid = np.abs(g)
-        k = int(np.argmax(resid))
-        if not resid[k] <= 1e-10:
-            raise StructureError(
-                f"inverse lift solve failed to converge: |L(x) - y| = {resid[k]:.3g} "
-                f"at y = {float(yv[k])!r}; lift not monotone?")
-        return x.reshape(np.shape(y))[()]   # a float for a float, else y's shape
-
     def inverse(self) -> "Shift":
-        """The shift alpha_{-1}, with derivative 1/alpha'(alpha_{-1})."""
+        """The shift alpha_{-1}, with derivative 1/alpha'(alpha_{-1}).
+
+        Built once and held by this shift.  Its lift and derivative close
+        over this shift's lift, derivative and table, not over this shift,
+        which it holds only weakly; once this shift is gone, the inverse's
+        own inverse() builds it again from that lift and derivative.
+        """
         if self._inv is not None:
             return self._inv
-        inv = Shift(self._solve_inverse, 1.0 / self.deriv.compose(self, -1), self.orientation)
-        inv._inv = self
-        self._inv = inv
+        if self._of is not None:   # an inverse: the shift it inverts
+            ref, lift, deriv = self._of
+            fwd = ref()
+            if fwd is None:
+                fwd = self._inv = Shift(lift, deriv, self.orientation)
+            return fwd
+        lift, deriv, table, s = self.lift_ext, self.deriv, self._table, self.orientation
+        solve = Fn.of(lambda y: _solve_inverse(lift, deriv, table, s, y), "shift.lift")
+        # deriv.compose(self, -1) without self: deriv(alpha_{-1}(t))
+        deriv_back = Fn(lambda t: deriv(wrap(solve(wrap(t)))), f"{deriv.name}(alpha_-1)")
+        inv = self._inv = Shift(solve, 1.0 / deriv_back, s)
+        inv._of = (weakref.ref(self), lift, deriv)
         return inv
 
     def power(self, m: int) -> "Shift":
@@ -244,6 +213,85 @@ def _lift_power(shift: Shift, m: int, x):
     """L^m(x): the extended lift applied m times, no wrap."""
     for _ in range(m):
         x = shift.lift_ext(x)
+    return x
+
+
+def _solve_inverse(lift: Fn, deriv: Fn, table: np.ndarray, s: int, y):
+    """Solve lift(x) = y for the extended lift L of orientation s, elementwise.
+
+    deriv is alpha' and table is s*L on _TABLE_X.  g(x) = s*(L(x) - y)
+    increases in x.  With z = s*y and n = floor(z - table[0]), r = z - n
+    lies in one period of the table, whose cell around r gives the bracket
+    n + [x_{j-1}, x_j] and whose linear interpolant gives the start point.
+    Each step evaluates g at the Newton step x - g/g' from the best point x
+    so far, or at the bracket midpoint when that step leaves the bracket
+    (a zero g' included) or the previous step failed to halve |g|.  The new
+    point replaces the bracket end with the same sign of g, and replaces x
+    if its |g| is smaller.  An element stops once |g| <= 4 eps (1 + |y|),
+    or after _SOLVE_CAP steps.  Raises StructureError, naming the worst y
+    and its residual, unless |L(x) - y| <= 1e-10 everywhere.
+
+    A float or 0-d y takes the same steps on Python floats and returns a
+    float64: it evaluates L and alpha' at floats, not at 1-element arrays.
+    An array y steps its unconverged elements together and keeps its shape.
+    """
+    scalar = np.ndim(y) == 0
+    yv = float(y) if scalar else np.ravel(y)
+    n = np.floor(s * yv - table[0])
+    r = s * yv - n
+    j = np.searchsorted(table[1:-1], r) + 1   # table[j-1] < r <= table[j], 1 <= j <= 256
+    lo, hi = n + _TABLE_X[j - 1], n + _TABLE_X[j]
+    x = n + np.interp(r, table, _TABLE_X)
+    tol = 4.0 * _EPS * (1.0 + abs(yv))
+    if scalar:
+        lo, hi, x = float(lo), float(hi), float(x)
+        g = s * (float(lift(x)) - yv)
+        lo, hi = (x if g < 0.0 else lo), (x if g > 0.0 else hi)
+        halved = True   # the latest step halved |g|
+        for _ in range(_SOLVE_CAP):
+            if not abs(g) > tol:
+                break
+            d = s * float(deriv(x))
+            newton = x - g / d if d != 0.0 else math.nan
+            c = newton if halved and lo <= newton <= hi else 0.5 * (lo + hi)
+            gc = s * (float(lift(c)) - yv)
+            if gc < 0.0:
+                lo = c
+            else:
+                hi = c
+            halved = abs(gc) <= 0.5 * abs(g)
+            if abs(gc) < abs(g):
+                x, g = c, gc
+        resid, worst, x = abs(g), yv, np.float64(x)
+    else:
+        g = s * (lift(x) - yv)
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g > 0.0, x, hi)
+        halved = np.ones(yv.shape, dtype=bool)
+        act = np.flatnonzero(np.abs(g) > tol)
+        for _ in range(_SOLVE_CAP):
+            if act.size == 0:
+                break
+            xa, ga, la, ha = x[act], g[act], lo[act], hi[act]
+            newton = xa - ga / (s * deriv(xa))
+            take = halved[act] & (la <= newton) & (newton <= ha)
+            c = np.where(take, newton, 0.5 * (la + ha))
+            gc = s * (lift(c) - yv[act])
+            neg = gc < 0.0
+            lo[act] = np.where(neg, c, la)
+            hi[act] = np.where(neg, ha, c)
+            halved[act] = np.abs(gc) <= 0.5 * np.abs(ga)
+            # x keeps the point of least |g| found so far
+            better = np.abs(gc) < np.abs(ga)
+            x[act] = np.where(better, c, xa)
+            g[act] = np.where(better, gc, ga)
+            act = act[np.abs(g[act]) > tol[act]]
+        k = int(np.argmax(np.abs(g)))
+        resid, worst, x = abs(g[k]), float(yv[k]), x.reshape(np.shape(y))
+    if not resid <= 1e-10:
+        raise StructureError(
+            f"inverse lift solve failed to converge: |L(x) - y| = {resid:.3g} "
+            f"at y = {worst!r}; lift not monotone?")
     return x
 
 

@@ -152,8 +152,9 @@ def one_sided_core_annuli(shift: Shift, arc: GammaArc,
 def spectrum_contains(ss: SpectrumSet, z: complex) -> str:
     """Membership query: "inside", "boundary", or "outside".
 
-    Annuli are tested exactly on |z| with a 1e-9 band at the radii; the
-    curve on w = z^m, which must be real (|Im w| <= 1e-9 * max(1, |w|)):
+    Annuli are tested exactly on |z|: inside more than 1e-9 from both radii,
+    boundary anywhere else within 1e-9 of the closed annulus.  The curve is
+    tested on w = z^m, which must be real (|Im w| <= 1e-9 * max(1, |w|)):
     inside a Carleman arc's range of d_m, or within 1e-9 of it (boundary).
     """
     tol = 1e-9
@@ -162,7 +163,7 @@ def spectrum_contains(ss: SpectrumSet, z: complex) -> str:
     for a in ss.annuli:
         if a.r_in + tol < r < a.r_out - tol:
             return "inside"
-        if abs(r - a.r_in) <= tol or abs(r - a.r_out) <= tol:
+        if a.r_in - tol <= r <= a.r_out + tol:
             boundary = True
     w = complex(z) ** ss.m
     if abs(w.imag) <= tol * max(1.0, abs(w)):

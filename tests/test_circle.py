@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ class TestInverseSolve:
     """The inverse-lift solve: table bracket, then safeguarded Newton."""
 
     LIFTS = ["t+0.1*sin(2*pi*t)", "t+0.05*sin(4*pi*t)", "t+0.03+0.1*sin(2*pi*t)",
-             "t+0.5", "1-t", "t",
+             "t+0.5", "1-t", "1-t+0.1*sin(2*pi*t)", "t",
              "t+0.15*sin(2*pi*t)"]   # alpha' from 0.06 to 1.94
     NODES = np.linspace(0.0, 1.0, 257)
 
@@ -105,9 +107,10 @@ class TestInverseSolve:
         xs = solve(ys)
         assert xs.shape == ys.shape
         assert np.max(np.abs(shift.lift_ext(xs) - ys)) <= 1e-10, name
-        for y, x in zip(ys[::5], xs[::5]):
+        # the scalar solve, on Python floats, against the array solve
+        for y, x in zip(ys, xs):
             got = solve(float(y))
-            assert isinstance(got, float)
+            assert isinstance(got, np.float64)
             assert abs(shift.lift_ext(got) - y) <= 1e-10, (name, y)
             assert got.hex() == float(x).hex(), (name, y)
         rng = np.random.default_rng(12)
@@ -180,6 +183,61 @@ class TestInverseSolve:
         with pytest.raises(StructureError,
                            match=r"\|L\(x\) - y\| = 0\.000429 at y = 0\.30126953125;"):
             shift.apply(np.array([0.1, 0.7]), -1)
+
+    def test_scalar_failure_names_y(self):
+        # the skipped value of test_failure_names_worst_y as a float target,
+        # solved on the lift's own data: the same message
+        def lift(x):
+            n = np.floor(x)
+            u = x - n
+            return 0.999 * u + 0.001 * (u > 0.301) + n
+
+        shift = so.Shift(lift, lambda t: 0.999 + 0.0 * t, 1)
+        with pytest.raises(StructureError,
+                           match=r"\|L\(x\) - y\| = 0\.000429 at y = 0\.30126953125;"):
+            so.circle._solve_inverse(shift.lift_ext, shift.deriv, shift._table, 1, 0.30126953125)
+
+    def test_zero_derivative_takes_midpoint(self):
+        # alpha' reads 0 everywhere, so every Newton step is refused: the
+        # scalar solve bisects and agrees with the array solve, never dividing by 0
+        shift = so.Shift(lambda x: x + 0.1 * np.sin(2 * np.pi * x), lambda t: 0.0 * t, 1)
+        ys = np.linspace(-1.0, 2.0, 31)
+        with np.errstate(divide="ignore"):
+            xs = so.circle._solve_inverse(shift.lift_ext, shift.deriv, shift._table, 1, ys)
+        for y, x in zip(ys, xs):
+            got = so.circle._solve_inverse(shift.lift_ext, shift.deriv, shift._table, 1, float(y))
+            assert got.hex() == x.hex(), y
+            assert abs(shift.lift_ext(got) - y) <= 1e-10, y
+
+    def test_no_reference_cycle(self):
+        # a shift and its inverse are freed by reference counting alone
+        gc.disable()
+        try:
+            shift = so.Shift.from_lift("t+0.1*sin(2*pi*t)")
+            inv = shift.inverse()
+            refs = weakref.ref(shift), weakref.ref(inv)
+            del shift, inv
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_inverse_outlives_its_shift(self):
+        # the inverse holds its shift weakly; once that shift is gone it
+        # builds it again from its lift and derivative, bit for bit
+        shift = so.Shift.from_lift("t+0.1*sin(2*pi*t)")
+        inv = shift.inverse()
+        assert inv.inverse() is shift
+        xs = np.linspace(-1.0, 2.0, 61)
+        lifts, derivs = shift.lift_ext(xs).tolist(), shift.deriv(xs).tolist()
+        ref = weakref.ref(shift)
+        del shift
+        assert ref() is None
+        again = inv.inverse()
+        assert again is inv.inverse()
+        assert again.lift_ext(xs).tolist() == lifts
+        assert again.deriv(xs).tolist() == derivs
+        assert [float(again.apply(x, -1)).hex() for x in xs] == \
+            [float(inv.apply(x, 1)).hex() for x in xs]
 
 
 class TestDetect:

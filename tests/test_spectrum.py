@@ -192,6 +192,9 @@ class TestMembership:
         assert contains((so.Annulus(1e-9, 0.5),), 2e-9) == "boundary"
         assert contains((so.Annulus(0.0, 1e-9),), 2e-9) == "boundary"
         assert contains((so.Annulus(0.5, 0.75),), 0.75 - 1e-9) == "boundary"
+        # strictly between the radii but rounded onto a band edge: never outside
+        assert contains((so.Annulus(1.0, 2.0),), 1.000000001) == "boundary"
+        assert contains((so.Annulus(1.0, 2.0),), 1.999999999) == "boundary"
         assert contains((), 0.5 + 1e-9j, ((0.25, 0.75),)) == "inside"
         assert contains((), 0.25 - 1e-9, ((0.25, 0.75),)) == "boundary"
         assert contains((), 0.75 + 1e-9, ((0.25, 0.75),)) == "boundary"
